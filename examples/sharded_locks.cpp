@@ -29,13 +29,13 @@ struct ShardReport {
 ShardReport run(const std::string& algorithm, std::uint64_t total_ops) {
   using namespace dmx;
   harness::register_builtin_algorithms();
-  mutex::LockSpace::Config cfg;
-  cfg.algorithm = algorithm;
-  cfg.n_nodes = 8;
-  cfg.n_resources = 4;
-  cfg.t_exec = 0.05;
-  cfg.seed = 77;
-  mutex::LockSpace space(cfg);
+  mutex::LockSpaceSpec spec;
+  spec.algorithm = algorithm;
+  spec.n_nodes = 8;
+  spec.n_resources = 4;
+  spec.t_exec = 0.05;
+  spec.seed = 77;
+  mutex::LockSpace space(spec);
 
   // Skewed shard popularity: 8 : 4 : 2 : 1.
   const std::vector<double> weights = {8.0, 4.0, 2.0, 1.0};

@@ -18,8 +18,6 @@
 
 namespace dmx::harness {
 
-namespace {
-
 double parse_double(const std::string& flag, const std::string& value) {
   try {
     std::size_t pos = 0;
@@ -42,6 +40,8 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
   }
   return out;
 }
+
+namespace {
 
 std::vector<double> parse_double_list(const std::string& flag,
                                       const std::string& value) {

@@ -38,6 +38,7 @@
 //   --help                  usage
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -94,6 +95,12 @@ struct CliOptions {
 
 /// Parses argv; throws std::invalid_argument with a message on bad input.
 CliOptions parse_cli(const std::vector<std::string>& args);
+
+/// Strict numeric flag values, shared by every dmx_* tool: the whole of
+/// `value` must parse, so "5s" or "0.1junk" is an error, never a silent
+/// truncation.  Throws std::invalid_argument naming `flag` and `value`.
+double parse_double(const std::string& flag, const std::string& value);
+std::uint64_t parse_u64(const std::string& flag, const std::string& value);
 
 /// Usage text for --help / errors.
 std::string cli_usage();

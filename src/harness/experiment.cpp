@@ -154,16 +154,6 @@ std::vector<std::string> ExperimentConfig::validate() const {
   return errors;
 }
 
-ExperimentConfig ExperimentConfigBuilder::build() const {
-  const std::vector<std::string> errors = cfg_.validate();
-  if (!errors.empty()) {
-    std::string joined = "invalid experiment config:";
-    for (const std::string& e : errors) joined += "\n  - " + e;
-    throw std::invalid_argument(joined);
-  }
-  return cfg_;
-}
-
 stats::CounterMap ExperimentResult::messages_by_type() const {
   return net::counts_by_name(messages_by_kind);
 }
@@ -221,7 +211,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     cluster.install(nid, std::move(algo));
   }
 
-  mutex::SafetyMonitor monitor(cfg.strict_safety);
+  mutex::SafetyMonitor monitor;
   mutex::RequestIdSource ids;
   std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
   drivers.reserve(cfg.n_nodes);

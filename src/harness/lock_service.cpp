@@ -46,22 +46,19 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
   const std::uint64_t shard_seed =
       cfg.seed + 1000 * static_cast<std::uint64_t>(r) + 17;
 
-  mutex::LockSpaceBuilder builder;
-  builder.resources(1)
-      .nodes(out.nodes)
-      .algorithm(out.algorithm)
-      .t_msg(cfg.t_msg)
-      .t_exec(cfg.t_exec)
-      .seed(shard_seed)
-      .batch(cfg.batch_size)
-      .collect_spans()
-      .span_hist_max(cfg.span_hist_max);
-  if (cfg.trace_sink && r == cfg.trace_shard) {
-    builder.trace_sink(cfg.trace_sink);
-  }
-  mutex::LockSpaceSpec spec = builder.build();
+  mutex::LockSpaceSpec spec;
+  spec.algorithm = out.algorithm;
+  spec.n_nodes = out.nodes;
+  spec.n_resources = 1;
+  spec.t_msg = cfg.t_msg;
+  spec.t_exec = cfg.t_exec;
   spec.params = cfg.params;
-  mutex::LockSpace space(spec);
+  spec.seed = shard_seed;
+  spec.batch_size = cfg.batch_size;
+  spec.collect_spans = true;
+  spec.span_hist_max = cfg.span_hist_max;
+  if (cfg.trace_sink && r == cfg.trace_shard) spec.trace_sink = cfg.trace_sink;
+  mutex::LockSpace space(std::move(spec));
 
   // Closed-loop clients: one per node, submitting through the redesigned
   // acquire() API; the on_released hook is the resubmission signal.

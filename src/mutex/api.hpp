@@ -30,8 +30,8 @@ namespace dmx::mutex {
 /// aggregate counters.
 ///
 /// The LockSpace notification contract:
-///  * acquire()/submit_batch() return the demand's LockRequestId
-///    immediately; the demand queues FIFO per (resource, node).
+///  * acquire() returns the demand's LockRequestId immediately; the demand
+///    queues FIFO per (resource, node).
 ///  * on_granted fires exactly once per demand, when its node enters the
 ///    critical section of its resource, with the id, resource, node and
 ///    grant time.

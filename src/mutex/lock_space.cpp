@@ -24,84 +24,19 @@ std::string join_errors(const std::vector<std::string>& errors) {
 
 std::vector<std::string> LockSpaceSpec::validate() const {
   std::vector<std::string> errors;
-  auto& registry = Registry::instance();
   if (n_nodes == 0) errors.push_back("n_nodes must be > 0");
   if (n_resources == 0) errors.push_back("n_resources must be > 0");
   if (t_msg < 0.0) errors.push_back("t_msg must be >= 0");
   if (t_exec < 0.0) errors.push_back("t_exec must be >= 0");
   if (span_hist_max <= 0.0) errors.push_back("span_hist_max must be > 0");
-  if (!registry.contains(algorithm)) {
+  if (!Registry::instance().contains(algorithm)) {
     errors.push_back(
         "algorithm not registered (call "
         "harness::register_builtin_algorithms first): " +
         algorithm);
   }
-  for (const auto& [r, ov] : overrides) {
-    const std::string where = "override for resource " + std::to_string(r);
-    if (n_resources > 0 && r >= n_resources) {
-      errors.push_back(where + ": index out of range (n_resources = " +
-                       std::to_string(n_resources) + ")");
-    }
-    if (ov.algorithm && !registry.contains(*ov.algorithm)) {
-      errors.push_back(where + ": algorithm not registered: " +
-                       *ov.algorithm);
-    }
-    if (ov.n_nodes && *ov.n_nodes == 0) {
-      errors.push_back(where + ": n_nodes must be > 0");
-    }
-  }
   return errors;
 }
-
-const std::string& LockSpaceSpec::algorithm_for(std::size_t r) const {
-  auto it = overrides.find(r);
-  if (it != overrides.end() && it->second.algorithm) {
-    return *it->second.algorithm;
-  }
-  return algorithm;
-}
-
-std::size_t LockSpaceSpec::nodes_for(std::size_t r) const {
-  auto it = overrides.find(r);
-  if (it != overrides.end() && it->second.n_nodes) return *it->second.n_nodes;
-  return n_nodes;
-}
-
-ParamSet LockSpaceSpec::params_for(std::size_t r) const {
-  auto it = overrides.find(r);
-  if (it == overrides.end()) return params;
-  ParamSet merged = params;
-  for (const auto& [k, v] : it->second.params.nums()) merged.set(k, v);
-  return merged;
-}
-
-LockSpaceSpec LockSpaceBuilder::build() const {
-  const auto errors = spec_.validate();
-  if (!errors.empty()) throw std::invalid_argument(join_errors(errors));
-  return spec_;
-}
-
-std::unique_ptr<LockSpace> LockSpaceBuilder::build_space() const {
-  return std::make_unique<LockSpace>(build());
-}
-
-namespace {
-
-LockSpaceSpec spec_from_config(LockSpace::Config cfg) {
-  LockSpaceSpec spec;
-  spec.algorithm = std::move(cfg.algorithm);
-  spec.n_nodes = cfg.n_nodes;
-  spec.n_resources = cfg.n_resources;
-  spec.t_msg = cfg.t_msg;
-  spec.t_exec = cfg.t_exec;
-  spec.params = std::move(cfg.params);
-  spec.seed = cfg.seed;
-  return spec;
-}
-
-}  // namespace
-
-LockSpace::LockSpace(Config cfg) : LockSpace(spec_from_config(std::move(cfg))) {}
 
 LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
   const auto errors = spec_.validate();
@@ -113,10 +48,6 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
   pending_.resize(spec_.n_resources);
   span_collectors_.resize(spec_.n_resources);
   for (std::size_t r = 0; r < spec_.n_resources; ++r) {
-    const std::size_t n = spec_.nodes_for(r);
-    const std::string& algo_name = spec_.algorithm_for(r);
-    const ParamSet params = spec_.params_for(r);
-
     obs::Tracer tracer;
     if (spec_.collect_spans) {
       span_collectors_[r] = std::make_shared<obs::SpanCollector>(
@@ -127,15 +58,15 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
     }
 
     clusters_.push_back(std::make_unique<runtime::Cluster>(
-        sim_, n,
+        sim_, spec_.n_nodes,
         std::make_unique<net::ConstantDelay>(sim::SimTime::units(spec_.t_msg)),
         spec_.seed * 7919 + r, tracer));
     monitors_.push_back(std::make_unique<SafetyMonitor>());
-    pending_[r].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    pending_[r].resize(spec_.n_nodes);
+    for (std::size_t i = 0; i < spec_.n_nodes; ++i) {
       const net::NodeId nid{static_cast<std::int32_t>(i)};
-      FactoryContext ctx{nid, n, params};
-      auto algo = registry.create(algo_name, ctx);
+      FactoryContext ctx{nid, spec_.n_nodes, spec_.params};
+      auto algo = registry.create(spec_.algorithm, ctx);
       auto* algo_raw = algo.get();
       clusters_[r]->install(nid, std::move(algo));
       auto driver = std::make_unique<CsDriver>(
@@ -157,7 +88,7 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
 
 LockRequestId LockSpace::acquire(std::size_t node, std::size_t resource,
                                  int priority) {
-  if (resource >= spec_.n_resources || node >= drivers_[resource].size()) {
+  if (resource >= spec_.n_resources || node >= spec_.n_nodes) {
     throw std::out_of_range("LockSpace::acquire: bad node or resource");
   }
   const LockRequestId ticket{next_ticket_++};
@@ -181,16 +112,6 @@ LockRequestId LockSpace::acquire(std::size_t node, std::size_t resource,
     });
   }
   return ticket;
-}
-
-std::vector<LockRequestId> LockSpace::submit_batch(
-    std::span<const LockDemand> batch) {
-  std::vector<LockRequestId> tickets;
-  tickets.reserve(batch.size());
-  for (const LockDemand& d : batch) {
-    tickets.push_back(acquire(d.node, d.resource, d.priority));
-  }
-  return tickets;
 }
 
 void LockSpace::flush() {

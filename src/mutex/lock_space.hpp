@@ -8,35 +8,28 @@
 // studied.  Any registered algorithm works; resources are fully independent
 // (a grant on resource A never waits on resource B).
 //
-// The API is spec + builder (mirroring harness::ExperimentConfigBuilder):
+// The plain LockSpaceSpec aggregate is the whole configuration:
 //
-//   auto space = mutex::LockSpaceBuilder()
-//                    .resources(1024).nodes(16)
-//                    .algorithm("raymond")              // default (cold)
-//                    .resource_algorithm(0, "arbiter-tp")  // hot override
-//                    .resource_nodes(0, 64)
-//                    .batch(32)
-//                    .collect_spans()
-//                    .build_space();
-//   space->set_on_granted([](const LockEvent& e) { ... });
-//   LockRequestId id = space->acquire(node, resource);
+//   mutex::LockSpaceSpec spec;
+//   spec.algorithm = "raymond";
+//   spec.n_resources = 1024;
+//   spec.n_nodes = 16;
+//   spec.batch_size = 32;
+//   spec.collect_spans = true;
+//   mutex::LockSpace space(spec);
+//   space.set_on_granted([](const LockEvent& e) { ... });
+//   LockRequestId id = space.acquire(node, resource);
 //
 // LockSpaceSpec::validate() reports *every* configuration error at once;
-// build()/the ctor throw the joined list.  Per-resource overrides let hot
-// resources run a different algorithm, node count or parameter set than the
-// cold default — the substrate of the sharded lock-service scenario
-// (harness/lock_service.hpp).
-//
-// The legacy LockSpace::Config aggregate and its ctor remain as a thin,
-// deprecated shim over LockSpaceSpec for older call sites; new code should
-// use the builder.
+// the ctor throws the joined list.  Every resource runs the same algorithm
+// over the same node count; the sharded lock-service scenario
+// (harness/lock_service.hpp) gives hot and cold shards different ones by
+// running one single-resource space per shard.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -52,24 +45,15 @@
 
 namespace dmx::mutex {
 
-/// Per-resource deviation from the LockSpaceSpec defaults.  Unset fields
-/// inherit; `params` entries are merged *over* the default ParamSet (an
-/// override key wins, untouched defaults stay).
-struct ResourceOverride {
-  std::optional<std::string> algorithm;
-  std::optional<std::size_t> n_nodes;
-  ParamSet params;
-};
-
-/// Full description of a lock space.  Plain aggregate — fill it directly or
-/// through LockSpaceBuilder; validate() tells you everything wrong with it.
+/// Full description of a lock space.  Plain aggregate — fill it directly;
+/// validate() tells you everything wrong with it.
 struct LockSpaceSpec {
-  std::string algorithm = "arbiter-tp";  ///< Default for all resources.
-  std::size_t n_nodes = 8;               ///< Default nodes per resource.
+  std::string algorithm = "arbiter-tp";  ///< Run on every resource.
+  std::size_t n_nodes = 8;               ///< Nodes per resource.
   std::size_t n_resources = 4;
   double t_msg = 0.1;
   double t_exec = 0.1;
-  ParamSet params;  ///< Default algorithm parameters.
+  ParamSet params;  ///< Algorithm parameters.
   std::uint64_t seed = 1;
   /// Demand batching at the driver layer: acquire() buffers demands and
   /// flushes them `batch_size` at a time (plus a same-timestamp auto-flush
@@ -85,104 +69,19 @@ struct LockSpaceSpec {
   /// Optional downstream sink receiving every resource's trace events (and
   /// completed spans when collect_spans is on).
   std::shared_ptr<obs::Sink> trace_sink;
-  /// Per-resource overrides, keyed by resource index.
-  std::map<std::size_t, ResourceOverride> overrides;
 
   /// Validate without building: one actionable message per problem (zero
-  /// sizes, unknown algorithm names — default or override —, negative
-  /// times, out-of-range override indices, ...); empty means buildable.
-  /// The LockSpace ctor throws the joined messages, so a caller sees every
-  /// configuration error at once instead of dying on the first.
+  /// sizes, unknown algorithm name, negative times, ...); empty means
+  /// buildable.  The LockSpace ctor throws the joined messages, so a caller
+  /// sees every configuration error at once instead of dying on the first.
   [[nodiscard]] std::vector<std::string> validate() const;
-
-  // Resolved per-resource views (override if present, default otherwise).
-  [[nodiscard]] const std::string& algorithm_for(std::size_t r) const;
-  [[nodiscard]] std::size_t nodes_for(std::size_t r) const;
-  [[nodiscard]] ParamSet params_for(std::size_t r) const;
 };
 
-/// One lock demand, the unit submit_batch() accepts in bulk.
+/// One lock demand, as acquire() buffers it while batching.
 struct LockDemand {
   std::size_t node = 0;
   std::size_t resource = 0;
   int priority = 0;
-};
-
-/// Fluent construction with fail-fast validation, mirroring
-/// harness::ExperimentConfigBuilder: build() runs LockSpaceSpec::validate()
-/// and throws std::invalid_argument listing every problem.
-class LockSpaceBuilder {
- public:
-  LockSpaceBuilder& algorithm(std::string name) {
-    spec_.algorithm = std::move(name);
-    return *this;
-  }
-  LockSpaceBuilder& nodes(std::size_t n) {
-    spec_.n_nodes = n;
-    return *this;
-  }
-  LockSpaceBuilder& resources(std::size_t n) {
-    spec_.n_resources = n;
-    return *this;
-  }
-  LockSpaceBuilder& t_msg(double units) {
-    spec_.t_msg = units;
-    return *this;
-  }
-  LockSpaceBuilder& t_exec(double units) {
-    spec_.t_exec = units;
-    return *this;
-  }
-  LockSpaceBuilder& param(const std::string& key, double value) {
-    spec_.params.set(key, value);
-    return *this;
-  }
-  LockSpaceBuilder& param(const std::string& key, const std::string& value) {
-    spec_.params.set(key, value);
-    return *this;
-  }
-  LockSpaceBuilder& seed(std::uint64_t s) {
-    spec_.seed = s;
-    return *this;
-  }
-  LockSpaceBuilder& batch(std::size_t size) {
-    spec_.batch_size = size;
-    return *this;
-  }
-  LockSpaceBuilder& collect_spans(bool on = true) {
-    spec_.collect_spans = on;
-    return *this;
-  }
-  LockSpaceBuilder& span_hist_max(double hi) {
-    spec_.span_hist_max = hi;
-    return *this;
-  }
-  LockSpaceBuilder& trace_sink(std::shared_ptr<obs::Sink> sink) {
-    spec_.trace_sink = std::move(sink);
-    return *this;
-  }
-  LockSpaceBuilder& resource_algorithm(std::size_t r, std::string name) {
-    spec_.overrides[r].algorithm = std::move(name);
-    return *this;
-  }
-  LockSpaceBuilder& resource_nodes(std::size_t r, std::size_t n) {
-    spec_.overrides[r].n_nodes = n;
-    return *this;
-  }
-  LockSpaceBuilder& resource_param(std::size_t r, const std::string& key,
-                                   double value) {
-    spec_.overrides[r].params.set(key, value);
-    return *this;
-  }
-
-  /// Throws std::invalid_argument joining every validation error.
-  [[nodiscard]] LockSpaceSpec build() const;
-
-  /// build() + construct the space in one step.
-  [[nodiscard]] std::unique_ptr<class LockSpace> build_space() const;
-
- private:
-  LockSpaceSpec spec_;
 };
 
 class LockSpace {
@@ -191,36 +90,15 @@ class LockSpace {
   /// mutex/api.hpp).  SmallCallback keeps typical captures allocation-free.
   using LockHook = sim::SmallCallback<void(const LockEvent&)>;
 
-  /// Deprecated: pre-builder flat configuration, kept so existing call
-  /// sites compile.  Forwards to LockSpaceSpec (no overrides, no batching,
-  /// no spans).  New code should use LockSpaceBuilder / LockSpaceSpec.
-  struct Config {
-    std::string algorithm = "arbiter-tp";
-    std::size_t n_nodes = 8;
-    std::size_t n_resources = 4;
-    double t_msg = 0.1;
-    double t_exec = 0.1;
-    ParamSet params;
-    std::uint64_t seed = 1;
-  };
-
   explicit LockSpace(LockSpaceSpec spec);
-  explicit LockSpace(Config cfg);  ///< Deprecated shim over the spec ctor.
 
   LockSpace(const LockSpace&) = delete;
   LockSpace& operator=(const LockSpace&) = delete;
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] const LockSpaceSpec& spec() const { return spec_; }
-  /// Default node count; resources with a n_nodes override differ.
   [[nodiscard]] std::size_t nodes() const { return spec_.n_nodes; }
-  [[nodiscard]] std::size_t nodes(std::size_t resource) const {
-    return drivers_[resource].size();
-  }
   [[nodiscard]] std::size_t resources() const { return spec_.n_resources; }
-  [[nodiscard]] const std::string& algorithm(std::size_t resource) const {
-    return spec_.algorithm_for(resource);
-  }
 
   /// Submit lock demand: node wants resource (queued FIFO per
   /// node+resource).  Returns the demand's ticket; on_granted/on_released
@@ -229,11 +107,6 @@ class LockSpace {
   /// is scheduled whenever the buffer becomes non-empty).
   LockRequestId acquire(std::size_t node, std::size_t resource,
                         int priority = 0);
-
-  /// Bulk submission: one ticket per demand, in order.  Equivalent to
-  /// calling acquire() per element; exists so drivers hand the space whole
-  /// batches without per-demand call overhead.
-  std::vector<LockRequestId> submit_batch(std::span<const LockDemand> batch);
 
   /// Force any buffered demands into the protocol now.  No-op when
   /// unbatched or empty.

@@ -43,7 +43,6 @@ void SafetyMonitor::on_exit(net::NodeId node, sim::SimTime t) {
 
 void SafetyMonitor::record_violation(Violation v) {
   ++violations_;
-  if (!first_violation_) first_violation_ = v.detail;
   std::string described;
   if (policy_ == Policy::kFailFast) described = v.describe();
   if (reports_.size() < kMaxReports) reports_.push_back(std::move(v));

@@ -14,8 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "mutex/violation.hpp"
@@ -35,11 +33,7 @@ class SafetyMonitor {
   /// entry, and the count is what matters beyond the first few examples.
   static constexpr std::size_t kMaxReports = 64;
 
-  explicit SafetyMonitor(Policy policy) : policy_(policy) {}
-
-  /// Legacy spelling: strict == fail-fast.
-  explicit SafetyMonitor(bool strict = false)
-      : policy_(strict ? Policy::kFailFast : Policy::kCollect) {}
+  explicit SafetyMonitor(Policy policy = Policy::kCollect) : policy_(policy) {}
 
   void on_enter(net::NodeId node, sim::SimTime t);
   void on_exit(net::NodeId node, sim::SimTime t);
@@ -54,12 +48,6 @@ class SafetyMonitor {
     return reports_;
   }
 
-  /// Description of the first violation, if any (legacy accessor; equals
-  /// reports().front().describe()).
-  [[nodiscard]] const std::optional<std::string>& first_violation() const {
-    return first_violation_;
-  }
-
  private:
   void record_violation(Violation v);
 
@@ -70,7 +58,6 @@ class SafetyMonitor {
   std::uint64_t entries_ = 0;
   std::uint64_t violations_ = 0;
   std::vector<Violation> reports_;
-  std::optional<std::string> first_violation_;
 };
 
 }  // namespace dmx::mutex

@@ -83,24 +83,6 @@ std::size_t MemorySink::count_kind(EventKind k) const {
                     [k](const Entry& e) { return e.event.kind == k; }));
 }
 
-std::vector<MemorySink::Entry> MemorySink::by_category(
-    std::string_view cat) const {
-  auto& reg = EventKindRegistry::instance();
-  std::vector<Entry> out;
-  for (const auto& e : entries_) {
-    if (reg.category(e.event.kind) == cat) out.push_back(e);
-  }
-  return out;
-}
-
-std::size_t MemorySink::count_containing(std::string_view needle) const {
-  std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.detail.find(needle) != std::string::npos) ++n;
-  }
-  return n;
-}
-
 // --------------------------------------------------------------- JsonlSink
 
 void JsonlSink::on_event(const Event& e, const DetailRef& /*detail*/) {

@@ -59,15 +59,9 @@ class MemorySink final : public Sink {
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
 
-  /// Typed queries (the fast path: integer compare per entry).
+  /// Queries by event kind (an integer compare per entry).
   [[nodiscard]] std::vector<Entry> by_kind(EventKind k) const;
   [[nodiscard]] std::size_t count_kind(EventKind k) const;
-
-  /// String-compat queries, matching the old stringly-typed sink: category
-  /// comes from the kind registry, substring search runs over the captured
-  /// detail text.
-  [[nodiscard]] std::vector<Entry> by_category(std::string_view cat) const;
-  [[nodiscard]] std::size_t count_containing(std::string_view needle) const;
 
   void clear() {
     entries_.clear();

@@ -242,12 +242,13 @@ TEST(ArbiterProtocol, TraceRecordsProtocolEvents) {
   MutexCluster tb("arbiter-tp", 5, unit_params(), 1.0, 1.0);
   tb.submit_at(0.0, 2);
   tb.sim().run();
-  // Typed queries for the kinds the walk-through must hit; the category
-  // compat query covers everything registered under "arbiter".
+  // The kinds the walk-through must hit, including both kinds registered
+  // under the "arbiter" category: the initial arbiter and the hand-over.
+  EXPECT_GE(tb.sink->count_kind(core::kEvArbiterInit), 1u);
+  EXPECT_GE(tb.sink->count_kind(core::kEvArbiterElected), 1u);
   EXPECT_GE(tb.sink->count_kind(core::kEvDispatch), 1u);
   EXPECT_GE(tb.sink->count_kind(core::kEvCsEnter), 1u);
   EXPECT_GE(tb.sink->count_kind(obs::kEvCsGranted), 1u);
-  EXPECT_GE(tb.sink->by_category("arbiter").size(), 1u);
 }
 
 // Trace consumers select on these names and categories; renaming one is a

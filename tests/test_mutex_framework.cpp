@@ -23,7 +23,7 @@ TEST(SafetyMonitor, CleanAlternationHasNoViolations) {
   EXPECT_EQ(m.violations(), 0u);
   EXPECT_EQ(m.entries(), 2u);
   EXPECT_EQ(m.max_occupancy(), 1);
-  EXPECT_FALSE(m.first_violation().has_value());
+  EXPECT_TRUE(m.reports().empty());
 }
 
 TEST(SafetyMonitor, OverlapIsAViolation) {
@@ -32,21 +32,14 @@ TEST(SafetyMonitor, OverlapIsAViolation) {
   m.on_enter(net::NodeId{1}, sim::SimTime::units(1.5));
   EXPECT_EQ(m.violations(), 1u);
   EXPECT_EQ(m.max_occupancy(), 2);
-  ASSERT_TRUE(m.first_violation().has_value());
-  EXPECT_NE(m.first_violation()->find("node 1"), std::string::npos);
+  ASSERT_EQ(m.reports().size(), 1u);
+  EXPECT_NE(m.reports().front().detail.find("node 1"), std::string::npos);
 }
 
 TEST(SafetyMonitor, ExitWithoutEntryIsAViolation) {
   SafetyMonitor m;
   m.on_exit(net::NodeId{3}, sim::SimTime::units(1.0));
   EXPECT_EQ(m.violations(), 1u);
-}
-
-TEST(SafetyMonitor, StrictModeThrows) {
-  SafetyMonitor m(/*strict=*/true);
-  m.on_enter(net::NodeId{0}, sim::SimTime::units(1.0));
-  EXPECT_THROW(m.on_enter(net::NodeId{1}, sim::SimTime::units(1.1)),
-               std::logic_error);
 }
 
 /// Grants on explicit demand, to script driver scenarios.

@@ -254,43 +254,20 @@ TEST(ConfigValidation, ValidConfigPasses) {
 TEST(ConfigValidation, RunExperimentThrowsOnInvalidConfig) {
   harness::register_builtin_algorithms();
   harness::ExperimentConfig cfg = small_config();
+  cfg.algorithm = "bogus";
   cfg.lambda = 0.0;
-  EXPECT_THROW((void)harness::run_experiment(cfg), std::invalid_argument);
-}
-
-TEST(ConfigBuilder, BuildsValidatedConfig) {
-  harness::register_builtin_algorithms();
-  const harness::ExperimentConfig cfg =
-      harness::ExperimentConfigBuilder{}
-          .algorithm("suzuki-kasami")
-          .nodes(7)
-          .lambda(0.25)
-          .t_msg(0.2)
-          .t_exec(0.05)
-          .total_requests(500)
-          .seed(9)
-          .param("t_req", 1.0)
-          .transport(harness::TransportKind::kReliable)
-          .collect_spans()
-          .build();
-  EXPECT_EQ(cfg.algorithm, "suzuki-kasami");
-  EXPECT_EQ(cfg.n_nodes, 7u);
-  EXPECT_TRUE(cfg.collect_spans);
-  EXPECT_EQ(cfg.transport, harness::TransportKind::kReliable);
-}
-
-TEST(ConfigBuilder, ThrowsListingEveryError) {
-  harness::register_builtin_algorithms();
+  cfg.t_exec = -1.0;
+  const std::vector<std::string> errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 3u);
   try {
-    (void)harness::ExperimentConfigBuilder{}
-        .algorithm("bogus")
-        .lambda(-2.0)
-        .build();
-    FAIL() << "build() should have thrown";
+    (void)harness::run_experiment(cfg);
+    FAIL() << "run_experiment should have thrown";
   } catch (const std::invalid_argument& e) {
+    // Every problem at once, not just the first.
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("bogus"), std::string::npos);
-    EXPECT_NE(msg.find("lambda"), std::string::npos);
+    for (const std::string& err : errors) {
+      EXPECT_NE(msg.find(err), std::string::npos) << err;
+    }
   }
 }
 

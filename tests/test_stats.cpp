@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stats/batch_means.hpp"
 #include "stats/confidence.hpp"
 #include "stats/counter_map.hpp"
 #include "stats/histogram.hpp"
@@ -185,34 +184,6 @@ TEST(CounterMap, Merge) {
   a.merge(b);
   EXPECT_EQ(a.get("x"), 3u);
   EXPECT_EQ(a.get("y"), 5u);
-}
-
-TEST(BatchMeans, CiWiderThanNaiveForCorrelatedStream) {
-  // A slowly wandering (highly autocorrelated) stream: batch-means CI must
-  // be wider than the naive per-sample CI.
-  Welford naive;
-  BatchMeans bm(100);
-  double level = 0.0;
-  for (int i = 0; i < 10'000; ++i) {
-    if (i % 500 == 0) level = (i / 500 % 2 == 0) ? 1.0 : -1.0;
-    const double x = level;
-    naive.add(x);
-    bm.add(x);
-  }
-  EXPECT_GT(bm.ci().half_width, mean_ci_95(naive).half_width);
-  EXPECT_EQ(bm.count(), 10'000u);
-  EXPECT_EQ(bm.complete_batches(), 100u);
-}
-
-TEST(BatchMeans, FallsBackWithFewBatches) {
-  BatchMeans bm(1000);
-  for (int i = 0; i < 10; ++i) bm.add(static_cast<double>(i));
-  EXPECT_EQ(bm.complete_batches(), 0u);
-  EXPECT_DOUBLE_EQ(bm.ci().mean, 4.5);
-}
-
-TEST(BatchMeans, ZeroBatchSizeThrows) {
-  EXPECT_THROW(BatchMeans bm(0), std::invalid_argument);
 }
 
 }  // namespace

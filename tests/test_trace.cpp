@@ -101,23 +101,9 @@ TEST(MemorySink, TypedQueries) {
   EXPECT_EQ(sink->count_kind(kEvTestArbiter), 0u);
   ASSERT_EQ(sink->by_kind(kEvTestToken).size(), 2u);
   EXPECT_EQ(sink->by_kind(kEvTestToken)[1].event.node, 1);
-}
-
-TEST(MemorySink, StringCompatQueries) {
-  auto sink = std::make_shared<MemorySink>();
-  Tracer t(sink);
-  const auto fmt1 = [] { return std::string("passing to node 1"); };
-  const auto fmt2 = [] { return std::string("entering"); };
-  const auto fmt3 = [] { return std::string("passing to node 2"); };
-  t.write(at(0.0, kEvTestToken, 0), DetailRef(fmt1));
-  t.write(at(0.0, kEvTestCs, 1), DetailRef(fmt2));
-  t.write(at(0.0, kEvTestToken, 1), DetailRef(fmt3));
-  EXPECT_EQ(sink->by_category("token").size(), 2u);
-  EXPECT_EQ(sink->by_category("cs").size(), 1u);
-  EXPECT_EQ(sink->by_category("none").size(), 0u);
-  EXPECT_EQ(sink->count_containing("passing"), 2u);
   sink->clear();
   EXPECT_TRUE(sink->entries().empty());
+  EXPECT_EQ(sink->count_kind(kEvTestToken), 0u);
 }
 
 TEST(TextSink, FormatsEvents) {

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/cli.hpp"
@@ -54,15 +56,14 @@ usage: dmx_trace [flags]
   std::exit(2);
 }
 
-Action parse_action(Action::Kind kind, const std::string& v) {
+Action parse_action(Action::Kind kind, const std::string& flag,
+                    const std::string& v) {
   const auto colon = v.find(':');
   if (colon == std::string::npos) usage_error("expected NODE:TIME, got " + v);
-  try {
-    return Action{kind, std::stoul(v.substr(0, colon)),
-                  std::stod(v.substr(colon + 1))};
-  } catch (const std::exception&) {
-    usage_error("bad NODE:TIME: " + v);
-  }
+  return Action{kind,
+                static_cast<std::size_t>(
+                    dmx::harness::parse_u64(flag, v.substr(0, colon))),
+                dmx::harness::parse_double(flag, v.substr(colon + 1))};
 }
 
 }  // namespace
@@ -79,55 +80,67 @@ int main(int argc, char** argv) {
   std::string trace_format = "jsonl";
 
   const std::vector<std::string> args(argv + 1, argv + argc);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value = [&](const char* flag) {
-      if (i + 1 >= args.size()) usage_error(std::string("missing value for ") + flag);
-      return args[++i];
-    };
-    const std::string& a = args[i];
-    if (a == "--algo") {
-      algo = value("--algo");
-    } else if (a == "--n") {
-      n = std::stoul(value("--n"));
-    } else if (a == "--t-msg") {
-      t_msg = std::stod(value("--t-msg"));
-    } else if (a == "--t-exec") {
-      t_exec = std::stod(value("--t-exec"));
-    } else if (a == "--unit-times") {
-      t_msg = t_exec = 1.0;
-      params.set("t_req", 1.0).set("t_fwd", 1.0);
-    } else if (a == "--param") {
-      const std::string kv = value("--param");
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) usage_error("--param expects key=value");
-      try {
-        params.set(kv.substr(0, eq), std::stod(kv.substr(eq + 1)));
-      } catch (const std::exception&) {
-        params.set(kv.substr(0, eq), kv.substr(eq + 1));
+  // The numeric parsers (harness/cli.hpp) throw std::invalid_argument on
+  // malformed input: a usage error, never an abort or a truncated value.
+  try {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      auto value = [&](const char* flag) {
+        if (i + 1 >= args.size()) {
+          usage_error(std::string("missing value for ") + flag);
+        }
+        return args[++i];
+      };
+      const std::string& a = args[i];
+      if (a == "--algo") {
+        algo = value("--algo");
+      } else if (a == "--n") {
+        n = static_cast<std::size_t>(harness::parse_u64(a, value("--n")));
+      } else if (a == "--t-msg") {
+        t_msg = harness::parse_double(a, value("--t-msg"));
+      } else if (a == "--t-exec") {
+        t_exec = harness::parse_double(a, value("--t-exec"));
+      } else if (a == "--unit-times") {
+        t_msg = t_exec = 1.0;
+        params.set("t_req", 1.0).set("t_fwd", 1.0);
+      } else if (a == "--param") {
+        const std::string kv = value("--param");
+        const auto eq = kv.find('=');
+        if (eq == std::string::npos) usage_error("--param expects key=value");
+        // Numeric if it parses as a number, string otherwise.
+        try {
+          params.set(kv.substr(0, eq),
+                     harness::parse_double(a, kv.substr(eq + 1)));
+        } catch (const std::invalid_argument&) {
+          params.set(kv.substr(0, eq), kv.substr(eq + 1));
+        }
+      } else if (a == "--submit") {
+        actions.push_back(
+            parse_action(Action::kSubmit, a, value("--submit")));
+      } else if (a == "--crash") {
+        actions.push_back(parse_action(Action::kCrash, a, value("--crash")));
+      } else if (a == "--restart") {
+        actions.push_back(
+            parse_action(Action::kRestart, a, value("--restart")));
+      } else if (a == "--drop") {
+        drops.push_back(value("--drop"));
+      } else if (a == "--until") {
+        until = harness::parse_double(a, value("--until"));
+      } else if (a == "--trace-out") {
+        trace_out = value("--trace-out");
+      } else if (a == "--trace-format") {
+        trace_format = value("--trace-format");
+        if (trace_format != "jsonl" && trace_format != "chrome" &&
+            trace_format != "text") {
+          usage_error("--trace-format expects jsonl, chrome or text");
+        }
+      } else if (a == "--help" || a == "-h") {
+        usage_error("help");
+      } else {
+        usage_error("unknown flag " + a);
       }
-    } else if (a == "--submit") {
-      actions.push_back(parse_action(Action::kSubmit, value("--submit")));
-    } else if (a == "--crash") {
-      actions.push_back(parse_action(Action::kCrash, value("--crash")));
-    } else if (a == "--restart") {
-      actions.push_back(parse_action(Action::kRestart, value("--restart")));
-    } else if (a == "--drop") {
-      drops.push_back(value("--drop"));
-    } else if (a == "--until") {
-      until = std::stod(value("--until"));
-    } else if (a == "--trace-out") {
-      trace_out = value("--trace-out");
-    } else if (a == "--trace-format") {
-      trace_format = value("--trace-format");
-      if (trace_format != "jsonl" && trace_format != "chrome" &&
-          trace_format != "text") {
-        usage_error("--trace-format expects jsonl, chrome or text");
-      }
-    } else if (a == "--help" || a == "-h") {
-      usage_error("help");
-    } else {
-      usage_error("unknown flag " + a);
     }
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());
   }
   if (actions.empty()) usage_error("no --submit actions given");
 

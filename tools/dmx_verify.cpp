@@ -11,13 +11,13 @@
 // Replay exits 0 when the recorded violation reproduces, 1 when it does
 // not — so CI can assert both directions.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "mutex/registry.hpp"
 #include "obs/sinks.hpp"
 #include "verify/counterexample.hpp"
@@ -26,6 +26,8 @@
 
 namespace {
 
+using dmx::harness::parse_double;
+using dmx::harness::parse_u64;
 using dmx::verify::Counterexample;
 using dmx::verify::VerifyConfig;
 using dmx::verify::VerifyResult;
@@ -66,24 +68,6 @@ const char kUsage[] =
     "  --list               list algorithms and choice-key families, exit\n"
     "  --help               this text\n";
 
-double parse_double(const std::string& v, const std::string& flag) {
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    throw std::invalid_argument("bad number for " + flag + ": " + v);
-  }
-  return x;
-}
-
-std::uint64_t parse_u64(const std::string& v, const std::string& flag) {
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') {
-    throw std::invalid_argument("bad integer for " + flag + ": " + v);
-  }
-  return x;
-}
-
 Options parse_args(const std::vector<std::string>& args) {
   Options o;
   auto need = [&args](std::size_t& i, const std::string& flag) {
@@ -97,21 +81,20 @@ Options parse_args(const std::vector<std::string>& args) {
     if (a == "--algo") {
       o.cfg.algorithm = need(i, a);
     } else if (a == "--n") {
-      o.cfg.n_nodes = parse_u64(need(i, a), a);
+      o.cfg.n_nodes = parse_u64(a, need(i, a));
     } else if (a == "--requests") {
-      o.cfg.requests_per_node = parse_u64(need(i, a), a);
+      o.cfg.requests_per_node = parse_u64(a, need(i, a));
     } else if (a == "--t-msg") {
-      o.cfg.t_msg = parse_double(need(i, a), a);
+      o.cfg.t_msg = parse_double(a, need(i, a));
     } else if (a == "--t-exec") {
-      o.cfg.t_exec = parse_double(need(i, a), a);
+      o.cfg.t_exec = parse_double(a, need(i, a));
     } else if (a == "--param") {
       const std::string kv = need(i, a);
       const std::size_t eq = kv.find('=');
       if (eq == std::string::npos) {
         throw std::invalid_argument("--param expects key=value, got " + kv);
       }
-      o.cfg.params.set(kv.substr(0, eq),
-                       parse_double(kv.substr(eq + 1), a));
+      o.cfg.params.set(kv.substr(0, eq), parse_double(a, kv.substr(eq + 1)));
     } else if (a == "--fault") {
       o.cfg.fault_plan = need(i, a);
     } else if (a == "--quorum") {
@@ -119,13 +102,13 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (a == "--reliable") {
       o.cfg.reliable = true;
     } else if (a == "--slack") {
-      o.cfg.time_slack = parse_double(need(i, a), a);
+      o.cfg.time_slack = parse_double(a, need(i, a));
     } else if (a == "--no-fifo") {
       o.cfg.fifo_links = false;
     } else if (a == "--depth") {
-      o.cfg.max_depth = parse_u64(need(i, a), a);
+      o.cfg.max_depth = parse_u64(a, need(i, a));
     } else if (a == "--max-schedules") {
-      o.cfg.max_schedules = parse_u64(need(i, a), a);
+      o.cfg.max_schedules = parse_u64(a, need(i, a));
     } else if (a == "--cex-out") {
       o.cex_out = need(i, a);
     } else if (a == "--replay") {
