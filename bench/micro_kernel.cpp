@@ -1,8 +1,8 @@
 // google-benchmark micro benchmarks of the simulation substrate, so users
-// can size their own sweeps: event-queue throughput, network send/deliver
-// cost, one reliable-transport frame, kind-table message dispatch, per-type
-// stats counters, trace emission, and an end-to-end simulated-CS rate for
-// the core algorithm.
+// can size their own sweeps: event-queue throughput (heap and broadcast
+// fan-out), network send/deliver cost, one reliable-transport frame,
+// kind-table message dispatch, per-type stats counters, trace emission, and
+// an end-to-end simulated-CS rate for the core algorithm.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -41,6 +41,42 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+
+// Steady state in the shape of broadcast_n1000: every tick one broadcast
+// schedules 999 deliveries at T_msg plus one jittered one-off timer, and the
+// clock advances a tenth of T_msg, so ten broadcasts are in flight (~10k
+// pending events).  BM_EventQueueScheduleRun above gives consecutive events
+// distinct delays, so it prices the heap; this one prices the lanes.
+void BM_EventQueueFanout(benchmark::State& state) {
+  constexpr int kFanout = 999;
+  const dmx::sim::SimTime t_msg = dmx::sim::SimTime::units(0.1);
+  const dmx::sim::SimTime tick = dmx::sim::SimTime::units(0.01);
+  dmx::sim::Simulator sim;
+  std::uint64_t fired = 0;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const auto broadcast = [&] {
+    for (int i = 0; i < kFanout; ++i) {
+      sim.schedule_after(t_msg, [&fired] { ++fired; });
+    }
+    x ^= x << 13; x ^= x >> 7; x ^= x << 17;  // xorshift64
+    const auto jitter = static_cast<std::int64_t>(x % 1'000'000);
+    sim.schedule_after(dmx::sim::SimTime::units(1.0) +
+                           dmx::sim::SimTime::ticks(jitter),
+                       [&fired] { ++fired; });
+  };
+  for (int i = 0; i < 200; ++i) {  // fill the pipeline
+    broadcast();
+    sim.run_until(sim.now() + tick);
+  }
+  for (auto _ : state) {
+    broadcast();
+    sim.run_until(sim.now() + tick);
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (kFanout + 1));
+}
+BENCHMARK(BM_EventQueueFanout);
 
 struct NullHandler final : dmx::net::MessageHandler {
   std::uint64_t count = 0;

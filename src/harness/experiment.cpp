@@ -134,7 +134,7 @@ std::vector<std::string> ExperimentConfig::validate() const {
     try {
       (void)fault::FaultPlan::parse(fault_plan);
     } catch (const std::exception& e) {
-      errors.push_back(std::string("fault plan: ") + e.what());
+      errors.emplace_back(e.what());  // already says "fault plan: "
     }
   }
   if (n_resources == 0) errors.emplace_back("n_resources must be at least 1");

@@ -25,34 +25,85 @@ EventId Simulator::schedule_at(SimTime t, Callback fn, EventTag tag) {
   slots_[slot].seq = next_seq_;
   slots_[slot].tag = tag;
   const std::uint64_t id = pack(slot, slots_[slot].gen);
-  heap_.push_back(HeapEntry{t, next_seq_++, id});
-  std::push_heap(heap_.begin(), heap_.end());
+  const Entry entry{t, next_seq_++, id};
+  const SimTime delay = t - now_;
+  if (Lane* lane = lane_for(delay, t)) {
+    lane->push_back(entry);
+  } else {
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end());
+  }
+  last_delay_ = delay;
   ++pending_;
   return EventId(id);
 }
 
+Simulator::Lane* Simulator::lane_for(SimTime delay, SimTime t) {
+  Lane* free_lane = nullptr;
+  for (Lane& lane : lanes_) {
+    if (lane.size == 0) {
+      if (free_lane == nullptr) free_lane = &lane;
+    } else if (lane.delay == delay) {
+      return lane.back().time <= t ? &lane : nullptr;
+    }
+  }
+  if (free_lane == nullptr || delay != last_delay_) return nullptr;
+  free_lane->delay = delay;
+  return free_lane;
+}
+
+void Simulator::Lane::push_back(const Entry& e) {
+  if (size == ring.size()) {
+    // Full: unroll into a ring twice the size, oldest entry first.
+    std::vector<Entry> bigger(ring.empty() ? 64 : 2 * ring.size());
+    for (std::size_t i = 0; i < size; ++i) {
+      bigger[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring.swap(bigger);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = e;
+  ++size;
+}
+
 bool Simulator::cancel(EventId id) {
   if (!pending(id)) return false;
-  free_slot(slot_of(id.id_));  // heap entry skipped lazily on pop
+  free_slot(slot_of(id.id_));  // queued entry skipped lazily on pop
   return true;
 }
 
-bool Simulator::skip_cancelled() {
-  while (!heap_.empty()) {
-    const std::uint64_t id = heap_.front().id;
-    const std::uint32_t slot = slot_of(id);
-    if (slots_[slot].gen == gen_of(id)) return true;
+unsigned Simulator::earliest() {
+  while (!heap_.empty() && !live(heap_.front().id)) {
     std::pop_heap(heap_.begin(), heap_.end());
     heap_.pop_back();
   }
-  return false;
+  unsigned best = heap_.empty() ? kNone : kHeap;
+  for (unsigned i = 0; i < kLanes; ++i) {
+    Lane& lane = lanes_[i];
+    while (lane.size != 0 && !live(lane.front().id)) lane.pop_front();
+    if (lane.size != 0 &&
+        (best == kNone || earlier(lane.front(), front(best)))) {
+      best = i;
+    }
+  }
+  return best;
 }
 
 bool Simulator::step() {
-  if (!skip_cancelled()) return false;
-  const HeapEntry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end());
-  heap_.pop_back();
+  const unsigned src = earliest();
+  if (src == kNone) return false;
+  run_front(src);
+  return true;
+}
+
+void Simulator::run_front(unsigned src) {
+  const Entry top = front(src);
+  if (src == kHeap) {
+    std::pop_heap(heap_.begin(), heap_.end());
+    heap_.pop_back();
+  } else {
+    lanes_[src].pop_front();
+  }
   const std::uint32_t slot = slot_of(top.id);
   Callback fn = std::move(slots_[slot].fn);
   // Vacate before running: the callback may reschedule into this very slot
@@ -61,7 +112,6 @@ bool Simulator::step() {
   now_ = top.time;
   ++events_executed_;
   fn();
-  return true;
 }
 
 void Simulator::collect_pending(std::vector<PendingEvent>& out) const {
@@ -84,7 +134,7 @@ bool Simulator::fire(EventId id) {
   const SimTime t = slots_[slot].time;
   Callback fn = std::move(slots_[slot].fn);
   // Vacate before running, exactly as step() does; the generation bump makes
-  // the event's heap entry stale, so skip_cancelled() drops it later.
+  // the event's queued entry stale, so earliest() drops it later.
   free_slot(slot);
   if (now_ < t) now_ = t;
   ++events_executed_;
@@ -96,16 +146,20 @@ void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && !budget_exhausted() && step()) {
   }
-  if (budget_exhausted() && skip_cancelled()) event_limit_hit_ = true;
+  if (budget_exhausted() && earliest() != kNone) event_limit_hit_ = true;
 }
 
 void Simulator::run_until(SimTime t) {
   stopped_ = false;
-  while (!stopped_ && !budget_exhausted() && skip_cancelled() &&
-         heap_.front().time <= t) {
-    step();
+  const auto due = [this, t] {
+    const unsigned src = earliest();
+    return src != kNone && front(src).time <= t ? src : kNone;
+  };
+  unsigned src = kNone;
+  while (!stopped_ && !budget_exhausted() && (src = due()) != kNone) {
+    run_front(src);
   }
-  if (budget_exhausted() && skip_cancelled() && heap_.front().time <= t) {
+  if (budget_exhausted() && due() != kNone) {
     // Work remained inside the window: the budget, not the horizon, ended
     // the run.  Leave the clock at the last executed event.
     event_limit_hit_ = true;

@@ -1,17 +1,31 @@
 // Discrete-event simulation kernel.
 //
-// A Simulator owns a virtual clock and a priority queue of scheduled events.
-// Events at equal times fire in scheduling order (FIFO tie-breaking via a
-// monotonically increasing sequence number), which makes runs deterministic.
+// A Simulator owns a virtual clock and the set of scheduled events.  Events
+// fire in (time, seq) order: equal times fire in scheduling order (FIFO
+// tie-breaking via a monotonically increasing sequence number), which makes
+// runs deterministic.
 //
 // Event storage is flat: callbacks live in a slot vector recycled through a
 // free list, and an EventId packs (slot, generation) so cancellation and
 // pending checks are one bounds-checked compare — no hash map, and at steady
-// state (slots and heap at high-water capacity) scheduling an event is
+// state (slots, heap and lanes at high-water capacity) scheduling an event is
 // allocation-free.  Cancellation is O(1): the slot is freed immediately
-// (bumping its generation) and the heap entry is skipped lazily when popped.
+// (bumping its generation) and the queued entry is skipped lazily when popped.
+//
+// Ordering entries live in a binary heap plus a few FIFO lanes.  A lane holds
+// events that share one delay d = t - now(), such as a broadcast's N-1
+// deliveries at T_msg.  Each later call sees the same or a later now() and a
+// larger seq, so a lane fills already sorted by (time, seq) and is a ring
+// buffer with O(1) push and pop.  (The clock steps back only when step()
+// follows an out-of-order fire(); an entry that would land before its lane's
+// tail then goes to the heap.)  A lane opens on the second of two consecutive
+// schedule calls with the same delay, which is what a fan-out does; one-off
+// delays (Poisson arrivals, jittered timers) stay in the heap.  The run loops
+// fire the earliest of the heap top and the lane heads, which is exactly the
+// order a single heap gives.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -128,8 +142,11 @@ class Simulator {
   /// explored).  Returns false if the event is no longer pending.
   bool fire(EventId id);
 
-  /// Pre-size internal storage for an expected number of simultaneously
-  /// pending events (large-N clusters reserve once instead of growing).
+  /// Pre-size the heap, the slot vector and its free list for an expected
+  /// number of simultaneously pending events (large-N clusters reserve once
+  /// instead of growing).  Lane rings are not pre-sized: each grows on first
+  /// use to its high-water mark and keeps that capacity, so a warmed-up
+  /// fan-out schedules without allocating.
   void reserve(std::size_t events);
 
   /// Hard backstop on total events executed (0 = unlimited).  run() and
@@ -145,21 +162,54 @@ class Simulator {
   [[nodiscard]] bool event_limit_hit() const { return event_limit_hit_; }
 
  private:
-  struct HeapEntry {
+  /// One queued event, in the heap or in a lane.
+  struct Entry {
     SimTime time;
     std::uint64_t seq;
     std::uint64_t id;  ///< Packed (generation, slot+1), as in EventId.
     // Min-heap via std::push_heap/pop_heap, which build a max-heap: invert.
-    friend bool operator<(const HeapEntry& a, const HeapEntry& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+    friend bool operator<(const Entry& a, const Entry& b) {
+      return earlier(b, a);
+    }
+    friend bool earlier(const Entry& a, const Entry& b) {
+      if (a.time != b.time) return a.time < b.time;
+      return a.seq < b.seq;
     }
   };
 
+  /// A FIFO of entries that share one delay, sorted by (time, seq) by
+  /// construction.  `ring` has power-of-two capacity and never shrinks (a
+  /// std::deque would allocate and free blocks as it cycles); `size` counts
+  /// live and cancelled entries alike, and a lane with size 0 is free for
+  /// any delay.
+  struct Lane {
+    SimTime delay;
+    std::vector<Entry> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    [[nodiscard]] const Entry& front() const { return ring[head]; }
+    [[nodiscard]] const Entry& back() const {
+      return ring[(head + size - 1) & (ring.size() - 1)];
+    }
+    void pop_front() {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+    void push_back(const Entry& e);
+  };
+
+  /// The benchmark workloads never hold more than two lanes open at once
+  /// (T_msg plus one timer delay), so four leave room to spare.
+  static constexpr unsigned kLanes = 4;
+  /// earliest() results besides a lane index.
+  static constexpr unsigned kHeap = kLanes;
+  static constexpr unsigned kNone = kLanes + 1;
+
   /// A scheduled (or recycled) callback.  `gen` counts lifetimes: it is
   /// bumped when the slot is vacated, so a stale EventId can never match.
-  /// time/seq/tag mirror the heap entry so a controller can enumerate
-  /// pending events without touching the heap.
+  /// time/seq/tag mirror the queued entry so a controller can enumerate
+  /// pending events without touching the heap or the lanes.
   struct EventSlot {
     Callback fn;
     std::uint32_t gen = 0;
@@ -187,9 +237,27 @@ class Simulator {
     --pending_;
   }
 
-  // Drops heap entries whose slot was cancelled; returns false when the
-  // heap is effectively empty.
-  bool skip_cancelled();
+  [[nodiscard]] bool live(std::uint64_t id) const {
+    return slots_[slot_of(id)].gen == gen_of(id);
+  }
+
+  /// The lane an event at `t` joins, or nullptr for the heap.  A lane open
+  /// for this delay takes it if that keeps the lane sorted (it always does
+  /// unless step() has moved the clock back after an out-of-order fire());
+  /// otherwise a free lane opens when the previous call had the same delay.
+  Lane* lane_for(SimTime delay, SimTime t);
+
+  /// Drops cancelled entries at the front of the heap and of every lane, and
+  /// returns where the earliest pending entry sits: a lane index, kHeap, or
+  /// kNone when nothing is pending.
+  unsigned earliest();
+
+  [[nodiscard]] const Entry& front(unsigned src) const {
+    return src == kHeap ? heap_.front() : lanes_[src].front();
+  }
+
+  /// Pops the front entry of `src` (an earliest() result) and runs it.
+  void run_front(unsigned src);
 
   /// True once the event budget is spent; used by run loops.
   [[nodiscard]] bool budget_exhausted() const {
@@ -203,7 +271,10 @@ class Simulator {
   std::uint64_t event_limit_ = 0;
   bool event_limit_hit_ = false;
   std::size_t pending_ = 0;
-  std::vector<HeapEntry> heap_;
+  std::vector<Entry> heap_;
+  std::array<Lane, kLanes> lanes_;
+  /// Delay of the previous schedule call; no delay is negative.
+  SimTime last_delay_ = SimTime::ticks(-1);
   std::vector<EventSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };

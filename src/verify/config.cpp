@@ -77,7 +77,7 @@ std::vector<std::string> VerifyConfig::validate() const {
         }
       }
     } catch (const std::exception& e) {
-      errors.push_back(std::string("fault plan: ") + e.what());
+      errors.emplace_back(e.what());  // already says "fault plan: "
     }
   }
   return errors;

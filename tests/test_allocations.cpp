@@ -102,32 +102,36 @@ TEST(Allocations, NetworkBroadcastIsOnePooledPayload) {
   if (!net::payload_pool_enabled()) {
     GTEST_SKIP() << "std::allocator fallback active (sanitizer build)";
   }
-  constexpr std::size_t kN = 8;
-  sim::Simulator sim;
-  net::Network net(sim, kN,
-                   std::make_unique<net::ConstantDelay>(sim::SimTime::units(1)),
-                   /*seed=*/7);
-  std::vector<CountingHandler> sinks(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    net.attach(net::NodeId{static_cast<std::int32_t>(i)}, &sinks[i]);
+  // A small cluster, and a real fan-out whose 999 deliveries share one
+  // delay and so queue in a simulator lane ring rather than the heap.
+  for (const std::size_t n : {std::size_t{8}, std::size_t{1000}}) {
+    SCOPED_TRACE(n);
+    sim::Simulator sim;
+    net::Network net(
+        sim, n, std::make_unique<net::ConstantDelay>(sim::SimTime::units(1)),
+        /*seed=*/7);
+    std::vector<CountingHandler> sinks(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      net.attach(net::NodeId{static_cast<std::int32_t>(i)}, &sinks[i]);
+    }
+    // Warm-up round: stocks the pool bucket and grows the simulator's slot
+    // vectors and lane ring to broadcast capacity.
+    net.broadcast(net::NodeId{0}, net::make_payload<PingMsg>());
+    sim.run();
+
+    const auto before = net::payload_alloc_stats();
+    testutil::AllocationGuard guard;
+    net.broadcast(net::NodeId{0}, net::make_payload<PingMsg>());
+    sim.run();
+    const auto after = net::payload_alloc_stats();
+
+    EXPECT_EQ(guard.count(), 0u) << "broadcast hit the global heap";
+    EXPECT_EQ(after.pool_served - before.pool_served, 1u)
+        << "broadcast should cost exactly one pooled payload";
+    EXPECT_EQ(after.live, before.live) << "payload leaked after delivery";
+    for (std::size_t i = 1; i < n; ++i) EXPECT_EQ(sinks[i].delivered, 2);
+    EXPECT_EQ(sinks[0].delivered, 0) << "self-delivery is not expected";
   }
-  // Warm-up round: stocks the pool bucket and grows the simulator slot
-  // vectors to broadcast capacity.
-  net.broadcast(net::NodeId{0}, net::make_payload<PingMsg>());
-  sim.run();
-
-  const auto before = net::payload_alloc_stats();
-  testutil::AllocationGuard guard;
-  net.broadcast(net::NodeId{0}, net::make_payload<PingMsg>());
-  sim.run();
-  const auto after = net::payload_alloc_stats();
-
-  EXPECT_EQ(guard.count(), 0u) << "broadcast hit the global heap";
-  EXPECT_EQ(after.pool_served - before.pool_served, 1u)
-      << "broadcast should cost exactly one pooled payload";
-  EXPECT_EQ(after.live, before.live) << "payload leaked after delivery";
-  for (std::size_t i = 1; i < kN; ++i) EXPECT_EQ(sinks[i].delivered, 2);
-  EXPECT_EQ(sinks[0].delivered, 0) << "self-delivery is not expected";
 }
 
 TEST(Allocations, ArbiterRequestPathIsZeroAlloc) {

@@ -237,13 +237,19 @@ TEST(ConfigValidation, ReportsEveryProblemAtOnce) {
   cfg.lambda = -1.0;
   cfg.total_requests = 0;
   cfg.loss_by_type["REQUEST"] = 1.5;
+  cfg.fault_plan = "t=abc crash 1";
   const auto errors = cfg.validate();
-  EXPECT_GE(errors.size(), 5u);
+  EXPECT_GE(errors.size(), 6u);
   bool mentions_algo = false;
   for (const auto& e : errors) {
     if (e.find("no-such-algo") != std::string::npos) mentions_algo = true;
   }
   EXPECT_TRUE(mentions_algo);
+  // The parser's message already names the fault plan: no second prefix.
+  const std::string plan_error =
+      "fault plan: bad time 'abc' in action 't=abc crash 1'";
+  EXPECT_EQ(std::count(errors.begin(), errors.end(), plan_error), 1)
+      << ::testing::PrintToString(errors);
 }
 
 TEST(ConfigValidation, ValidConfigPasses) {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/sinks.hpp"
 #include "verify/counterexample.hpp"
@@ -437,6 +438,15 @@ TEST(VerifyConfig, RejectsOutOfScopeConfigs) {
 
   cfg = base_config("arbiter-tp");
   cfg.fault_plan = "t=1 partition 0,1|5";  // group names node outside cluster
+  EXPECT_THROW(cfg.check(), std::invalid_argument);
+
+  // A malformed plan reports the parser's message, which already names the
+  // fault plan: no second prefix.
+  cfg = base_config("arbiter-tp");
+  cfg.fault_plan = "t=abc crash 1";
+  EXPECT_EQ(cfg.validate(),
+            std::vector<std::string>{
+                "fault plan: bad time 'abc' in action 't=abc crash 1'"});
   EXPECT_THROW(cfg.check(), std::invalid_argument);
 
   // Partition and heal are inside the verify set since the partition-safe
