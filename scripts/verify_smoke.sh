@@ -62,38 +62,58 @@ echo
 echo "=== verify smoke: quorum-guarded recovery matrix (crash / restart / lose-next)"
 # The quorum guard (--quorum) must stay exhaustively clean across the fault
 # matrix.  Slack 0 keeps the N=4 cells tractable; the crash+restart cell
-# exceeds the exhaustive budget at N=4 and is pinned at N=3 instead (see
-# tests/test_verify.cpp for the golden schedule counts of the cheap cells).
+# exceeds the exhaustive budget at N=4 and is pinned at N=3 instead.
+#
+# Every cell passes its golden "schedules explored:" line and fails on any
+# drift, like the pinned counts in tests/test_verify.cpp: a changed count
+# means the schedule space (or the pruning) changed and must be re-derived
+# on purpose.  The N=4 crash count includes 497472 schedules cut at the
+# depth bound; it moves only when the verdict on such cut schedules does.
 run_matrix_cell() {
-  local label="$1"; shift
-  if out=$("$VERIFY" "$@" 2>&1); then
-    echo "ok: $label ($(echo "$out" | sed -n 's/^schedules explored: \([0-9]*\).*/\1 schedules/p'))"
-  else
+  local label="$1" expect="$2"; shift 2
+  if ! out=$("$VERIFY" "$@" 2>&1); then
     echo "$out"
     echo "FAIL: $label violated an invariant (or capped)"
+    FAILURES=$((FAILURES + 1))
+    return
+  fi
+  local got
+  got=$(echo "$out" | sed -n 's/^schedules explored: //p')
+  if [ "$got" = "$expect" ]; then
+    echo "ok: $label ($got)"
+  else
+    echo "$out"
+    echo "FAIL: $label explored \"$got\", pinned \"$expect\""
     FAILURES=$((FAILURES + 1))
   fi
 }
 run_matrix_cell "N=4 crash" \
+  "830220 (terminal 1340, truncated 497472, sleep-blocked 331408)" \
   --algo arbiter-tp --n 4 --requests 1 --quorum --slack 0 \
   --fault "t=0 crash 3"
 run_matrix_cell "N=4 lose-next PRIVILEGE" \
+  "80569 (terminal 18906, truncated 0, sleep-blocked 61663)" \
   --algo arbiter-tp --n 4 --requests 1 --quorum --slack 0 \
   --fault "t=0 lose-next PRIVILEGE"
 run_matrix_cell "N=3 crash + restart" \
+  "123686 (terminal 40732, truncated 12169, sleep-blocked 70785)" \
   --algo arbiter-tp --n 3 --requests 1 --quorum --slack 0 \
   --fault "t=0 crash 1; t=1 restart 1"
 echo
 
 echo "=== verify smoke: path-reversal exhaustive worlds (clean + reliable)"
 run_matrix_cell "path-reversal N=3" \
+  "20 (terminal 10, truncated 0, sleep-blocked 10)" \
   --algo path-reversal --n 3 --requests 1
 run_matrix_cell "path-reversal N=4" \
+  "168 (terminal 102, truncated 0, sleep-blocked 66)" \
   --algo path-reversal --n 4 --requests 1
 run_matrix_cell "path-reversal N=3 reliable, lose-next PR-REQUEST" \
+  "100 (terminal 30, truncated 0, sleep-blocked 70)" \
   --algo path-reversal --n 3 --requests 1 --reliable --slack 0 \
   --fault "t=0 lose-next PR-REQUEST"
 run_matrix_cell "path-reversal N=3 reliable, lose-next PR-TOKEN" \
+  "30 (terminal 18, truncated 0, sleep-blocked 12)" \
   --algo path-reversal --n 3 --requests 1 --reliable --slack 0 \
   --fault "t=0 lose-next PR-TOKEN"
 echo

@@ -6,7 +6,9 @@
 // made in, but "the 2nd REQUEST from node 1 to node 0" or "timer #3 of node
 // 2" or "node 0's 1st CS exit" name the same transition on every path that
 // enables it.  The key doubles as the serialization in counterexample files
-// and as the deterministic sort order of enabled sets.
+// and as the deterministic sort order of enabled sets.  Re-executing one
+// prefix reproduces its event handles too, so the explorer replays stored
+// Choices directly (World::replay) rather than matching keys.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,9 @@ struct Choice {
   /// choice identity so distinct cuts of the same action never alias.
   std::string groups;
 
-  // --- transient, valid only in the execution that produced the choice ---
+  // --- execution handles, not identity: valid in any execution of the
+  // same choice prefix (a deterministic world reproduces them), which is
+  // what World::replay() checks ---
   sim::EventId event;   ///< The pending event a kFire / kDrop acts on.
   sim::SimTime time;    ///< Its scheduled firing time.
 

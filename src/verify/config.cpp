@@ -10,35 +10,40 @@
 
 namespace dmx::verify {
 
-std::vector<std::string> VerifyConfig::validate() const {
+namespace {
+
+// Every problem with `cfg`, one message each; a well-formed fault plan is
+// parsed into `actions` on the way, so check() parses it only once.
+std::vector<std::string> problems(const VerifyConfig& cfg,
+                                  std::vector<fault::FaultAction>& actions) {
   harness::register_builtin_algorithms();
   register_mutant_algorithms();
   std::vector<std::string> errors;
-  if (!mutex::Registry::instance().contains(algorithm)) {
-    errors.push_back("unknown algorithm \"" + algorithm + "\"");
+  if (!mutex::Registry::instance().contains(cfg.algorithm)) {
+    errors.push_back("unknown algorithm \"" + cfg.algorithm + "\"");
   }
-  if (n_nodes == 0 || n_nodes > 4) {
+  if (cfg.n_nodes == 0 || cfg.n_nodes > 4) {
     errors.push_back("n_nodes must be in [1, 4] for exhaustive exploration, "
-                     "got " + std::to_string(n_nodes));
+                     "got " + std::to_string(cfg.n_nodes));
   }
-  if (requests_per_node == 0) {
+  if (cfg.requests_per_node == 0) {
     errors.emplace_back("requests_per_node must be at least 1");
   }
-  if (t_msg <= 0.0) errors.emplace_back("t_msg must be positive");
-  if (t_exec <= 0.0) errors.emplace_back("t_exec must be positive");
-  if (max_depth == 0) errors.emplace_back("max_depth must be at least 1");
-  if (max_schedules == 0) {
+  if (cfg.t_msg <= 0.0) errors.emplace_back("t_msg must be positive");
+  if (cfg.t_exec <= 0.0) errors.emplace_back("t_exec must be positive");
+  if (cfg.max_depth == 0) errors.emplace_back("max_depth must be at least 1");
+  if (cfg.max_schedules == 0) {
     errors.emplace_back("max_schedules must be at least 1");
   }
-  if (!fault_plan.empty()) {
+  if (!cfg.fault_plan.empty()) {
     try {
-      const fault::FaultPlan plan = fault::FaultPlan::parse(fault_plan);
-      for (const fault::FaultAction& act : plan.actions) {
+      actions = fault::FaultPlan::parse(cfg.fault_plan).actions;
+      for (const fault::FaultAction& act : actions) {
         switch (act.kind) {
           case fault::FaultAction::Kind::kCrash:
           case fault::FaultAction::Kind::kRestart:
             if (act.node < 0 ||
-                static_cast<std::size_t>(act.node) >= n_nodes) {
+                static_cast<std::size_t>(act.node) >= cfg.n_nodes) {
               errors.push_back("fault plan targets node " +
                                std::to_string(act.node) +
                                " outside the cluster");
@@ -58,7 +63,7 @@ std::vector<std::string> VerifyConfig::validate() const {
             }
             for (const auto& group : act.groups) {
               for (const int n : group) {
-                if (n < 0 || static_cast<std::size_t>(n) >= n_nodes) {
+                if (n < 0 || static_cast<std::size_t>(n) >= cfg.n_nodes) {
                   errors.push_back("partition group names node " +
                                    std::to_string(n) +
                                    " outside the cluster");
@@ -83,9 +88,17 @@ std::vector<std::string> VerifyConfig::validate() const {
   return errors;
 }
 
-void VerifyConfig::check() const {
-  const std::vector<std::string> errors = validate();
-  if (errors.empty()) return;
+}  // namespace
+
+std::vector<std::string> VerifyConfig::validate() const {
+  std::vector<fault::FaultAction> actions;
+  return problems(*this, actions);
+}
+
+std::vector<fault::FaultAction> VerifyConfig::check() const {
+  std::vector<fault::FaultAction> actions;
+  const std::vector<std::string> errors = problems(*this, actions);
+  if (errors.empty()) return actions;
   std::string joined = "invalid verify config:";
   for (const std::string& e : errors) joined += "\n  - " + e;
   throw std::invalid_argument(joined);

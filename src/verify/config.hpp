@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
 #include "mutex/params.hpp"
 
 namespace dmx::verify {
@@ -58,8 +59,10 @@ struct VerifyConfig {
   /// Empty when well-formed; one message per problem otherwise.
   [[nodiscard]] std::vector<std::string> validate() const;
 
-  /// validate(), throwing std::invalid_argument on any problem.
-  void check() const;
+  /// validate(), throwing std::invalid_argument on any problem.  Returns
+  /// the fault plan's actions, parsed by the same pass, so a caller that
+  /// builds many worlds from one config parses the plan once.
+  std::vector<fault::FaultAction> check() const;
 };
 
 }  // namespace dmx::verify

@@ -32,7 +32,7 @@ struct Frame {
 }  // namespace
 
 VerifyResult explore(const VerifyConfig& cfg) {
-  cfg.check();
+  const std::vector<fault::FaultAction> actions = cfg.check();
   VerifyResult res;
   std::vector<Frame> stack;
   bool capped = false;
@@ -45,21 +45,18 @@ VerifyResult explore(const VerifyConfig& cfg) {
   };
 
   while (true) {
-    // ---- one execution: rebuild the committed prefix statelessly ----
+    // ---- one execution: replay the committed prefix statelessly ----
+    // Each frame's stored choice is applied to a fresh World after
+    // World::replay() checks it against that world's enabled set (same
+    // identity, event and time), so a nondeterministic world throws.
     // The last frame holds the branch's freshly selected sibling, which has
     // never been executed: a violation there is a genuine finding.  A
     // violation at any earlier frame re-executes a choice that was clean
     // the first time, which can only mean the world is nondeterministic.
-    World world(cfg);
+    World world(cfg, actions);
     for (std::size_t depth = 0; depth < stack.size(); ++depth) {
       const Frame& f = stack[depth];
-      std::optional<Choice> c = world.find_enabled(f.enabled[f.chosen].key());
-      if (!c.has_value()) {
-        throw std::logic_error(
-            "verify: replay diverged — a committed choice is no longer "
-            "enabled (nondeterministic world?)");
-      }
-      world.apply(*c);
+      world.replay(f.enabled[f.chosen]);
       ++res.stats.replayed;
       if (std::optional<mutex::Violation> v = world.check()) {
         if (depth + 1 == stack.size()) {

@@ -13,9 +13,11 @@
 // executed transitions stay independent of c (only same-node events
 // conflict), so commuting permutations — e.g. deliveries to different nodes
 // — are explored once instead of factorially.  States are never stored:
-// backtracking re-executes the committed choice prefix in a fresh World,
-// which is cheap at this scale and keeps the explorer trivially correct
-// against any hidden protocol state.
+// backtracking replays the committed prefix's stored choices in a fresh
+// World (World::replay), each checked against the rebuilt enabled set for
+// the same identity, event and time, which keeps the explorer trivially
+// correct against any hidden protocol state and turns a nondeterministic
+// world into an error instead of a wrong search.
 //
 // The search stops at the first violation and reports the exact choice-key
 // path as a counterexample (see verify/counterexample.hpp for the replay

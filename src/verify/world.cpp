@@ -25,11 +25,23 @@ std::string groups_key(const std::vector<std::vector<int>>& groups) {
   return out;
 }
 
+// Whether lose-next action `act` may drop fire choice `f`.
+bool drops(const fault::FaultAction& act, const Choice& f) {
+  if (f.klass != sim::EventClass::kDelivery) return false;
+  if (act.msg_type != "*" && f.msg_type != act.msg_type) return false;
+  if (act.src >= 0 && f.src != act.src) return false;
+  return act.dst < 0 || f.node == act.dst;
+}
+
 }  // namespace
 
+// check() also populates the algorithm registry.
 World::World(const VerifyConfig& cfg, std::shared_ptr<obs::Sink> sink)
-    : cfg_(cfg) {
-  cfg_.check();  // also populates the algorithm registry
+    : World(cfg, cfg.check(), std::move(sink)) {}
+
+World::World(const VerifyConfig& cfg, std::vector<fault::FaultAction> actions,
+             std::shared_ptr<obs::Sink> sink)
+    : cfg_(cfg), actions_(std::move(actions)) {
   cluster_ = std::make_unique<runtime::Cluster>(
       cfg_.n_nodes,
       std::make_unique<net::ConstantDelay>(sim::SimTime::units(cfg_.t_msg)),
@@ -44,9 +56,6 @@ World::World(const VerifyConfig& cfg, std::shared_ptr<obs::Sink> sink)
         sim::SimTime::units(cfg_.t_msg));
     tc.jitter_frac = 0.0;  // keep the timer schedule seed-free
     cluster_->use_reliable_transport(tc);
-  }
-  if (!cfg_.fault_plan.empty()) {
-    actions_ = fault::FaultPlan::parse(cfg_.fault_plan).actions;
   }
   action_done_.assign(actions_.size(), 0);
 
@@ -76,134 +85,173 @@ World::World(const VerifyConfig& cfg, std::shared_ptr<obs::Sink> sink)
 }
 
 void World::record_send(const net::Envelope& env) {
-  MsgInfo info;
-  info.src = env.src.value();
-  info.type = std::string(env.payload->fault_target().type_name());
-  std::string link = std::to_string(info.src) + ">" +
-                     std::to_string(env.dst.value()) + " " + info.type;
-  info.index = occurrence_[link]++;
-  msg_info_.emplace(env.msg_id, std::move(info));
+  const net::Payload& target = env.payload->fault_target();
+  const std::uint64_t key = (std::uint64_t{target.kind().index()} << 32) |
+                            (std::uint64_t{env.src.index()} << 16) |
+                            env.dst.index();
+  auto it = std::find_if(occurrence_.begin(), occurrence_.end(),
+                         [key](const auto& e) { return e.first == key; });
+  if (it == occurrence_.end()) it = occurrence_.insert(it, {key, 0});
+  if (env.msg_id >= msg_info_.size()) msg_info_.resize(env.msg_id + 1);
+  msg_info_[env.msg_id] =
+      MsgInfo{env.src.value(), target.type_name(), it->second++};
 }
 
-std::vector<Choice> World::enabled() {
+// The enabledness rules for pending events, stated once for enabled() and
+// replay(): walks the pending set in (time, seq) order and calls
+// visit(ev, info) for every event that is an enabled fire choice (`info` is
+// a delivery's send record, null for timers and CS exits).  visit returns
+// true to stop the walk.
+template <typename Visit>
+void World::visit_fires(Visit&& visit) {
   cluster_->simulator().collect_pending(pending_);
-  std::vector<Choice> out;
-  out.reserve(pending_.size() + actions_.size());
   const bool bounded = cfg_.time_slack >= 0.0;
   sim::SimTime horizon;
   if (!pending_.empty()) {
     // pending_ is sorted by (time, seq): front() is the earliest event.
     horizon = pending_.front().time + sim::SimTime::units(cfg_.time_slack);
   }
-  std::vector<std::int32_t> seen_links;
-  std::uint32_t timer_nodes = 0;
+  // Bit sets over links (src * n + dst) and timer owners; n <= 4.
+  std::uint64_t seen_links = 0;
+  std::uint64_t timer_nodes = 0;
   for (const sim::PendingEvent& ev : pending_) {
-    Choice c;
-    c.klass = ev.tag.klass;
-    c.node = ev.tag.node;
-    c.event = ev.id;
-    c.time = ev.time;
+    const MsgInfo* info = nullptr;
     switch (ev.tag.klass) {
       case sim::EventClass::kDelivery: {
-        const auto it = msg_info_.find(ev.tag.detail);
-        if (it == msg_info_.end()) {
+        if (ev.tag.detail < msg_info_.size()) info = &msg_info_[ev.tag.detail];
+        if (info == nullptr || info->src < 0) {
           throw std::logic_error("verify: pending delivery without a send "
                                  "record (tap installed too late?)");
         }
-        c.src = it->second.src;
-        c.msg_type = it->second.type;
-        c.index = it->second.index;
         if (cfg_.fifo_links) {
           // Only the oldest in-flight frame per link is eligible; younger
           // ones stay shadowed even when the head falls outside the slack
           // window (FIFO means they cannot overtake it).
-          const std::int32_t link = c.src * 64 + c.node;
-          if (std::find(seen_links.begin(), seen_links.end(), link) !=
-              seen_links.end()) {
-            continue;
-          }
-          seen_links.push_back(link);
+          const std::size_t link =
+              static_cast<std::size_t>(info->src) * cfg_.n_nodes +
+              static_cast<std::size_t>(ev.tag.node);
+          const std::uint64_t bit = std::uint64_t{1} << link;
+          if ((seen_links & bit) != 0) continue;
+          seen_links |= bit;
         }
         break;
       }
       case sim::EventClass::kTimer: {
         // A process's timers fire in deadline order; only its earliest is
         // a real scheduling alternative.
-        const std::uint32_t bit = 1u << (ev.tag.node & 31);
+        const std::uint64_t bit = std::uint64_t{1}
+                                  << static_cast<unsigned>(ev.tag.node);
         if ((timer_nodes & bit) != 0) continue;
         timer_nodes |= bit;
-        c.index = ev.tag.detail;
         break;
       }
       case sim::EventClass::kCsExit:
-        c.index = ev.tag.detail;
         break;
       default:
         throw std::logic_error(
             "verify: untagged event in a verification world");
     }
     if (bounded && ev.time > horizon) continue;
-    out.push_back(std::move(c));
+    if (visit(ev, info)) return;
   }
+}
 
-  // Fault choices: each unconsumed plan action is available at every state
-  // where it applies (its t= is ignored — timing is the explorer's job).
+Choice World::fire_choice(const sim::PendingEvent& ev, const MsgInfo* info) {
+  Choice c;
+  c.klass = ev.tag.klass;
+  c.node = ev.tag.node;
+  c.event = ev.id;
+  c.time = ev.time;
+  if (info != nullptr) {
+    c.src = info->src;
+    c.msg_type = info->type;
+    c.index = info->index;
+  } else {
+    c.index = ev.tag.detail;  // timer id or CS sequence
+  }
+  return c;
+}
+
+// Fault choices: each unconsumed plan action is available at every state
+// where it applies (its t= is ignored — timing is the explorer's job).
+// lose-next (the only other verb the config validator admits) applies per
+// delivery instead: see drops().
+bool World::fault_applies(const fault::FaultAction& act) const {
+  switch (act.kind) {
+    case fault::FaultAction::Kind::kCrash:
+      return !algos_[static_cast<std::size_t>(act.node)]->crashed();
+    case fault::FaultAction::Kind::kRestart:
+      return algos_[static_cast<std::size_t>(act.node)]->crashed();
+    case fault::FaultAction::Kind::kPartition:
+      // A cut is a real scheduling alternative at any un-partitioned state;
+      // in-flight messages keep their delivery events (a cut severs links,
+      // not packets already in the air).
+      return !cluster_->network().faults().partitioned();
+    case fault::FaultAction::Kind::kHeal:
+      return cluster_->network().faults().partitioned();
+    default:
+      return false;
+  }
+}
+
+Choice World::fault_choice(std::size_t action) const {
+  const fault::FaultAction& act = actions_[action];
+  Choice c;
+  c.action = static_cast<std::int32_t>(action);
+  switch (act.kind) {
+    case fault::FaultAction::Kind::kCrash:
+      c.kind = Choice::Kind::kCrash;
+      c.node = act.node;
+      break;
+    case fault::FaultAction::Kind::kRestart:
+      c.kind = Choice::Kind::kRestart;
+      c.node = act.node;
+      break;
+    case fault::FaultAction::Kind::kPartition:
+      c.kind = Choice::Kind::kPartition;
+      c.groups = groups_key(act.groups);
+      break;
+    default:
+      c.kind = Choice::Kind::kHeal;
+      break;
+  }
+  return c;
+}
+
+std::vector<Choice> World::enabled() {
+  std::vector<Choice> out;
+  visit_fires([&out](const sim::PendingEvent& ev, const MsgInfo* info) {
+    out.push_back(fire_choice(ev, info));
+    return false;
+  });
   const std::size_t fires = out.size();
   for (std::size_t a = 0; a < actions_.size(); ++a) {
     if (action_done_[a] != 0) continue;
     const fault::FaultAction& act = actions_[a];
-    if (act.kind == fault::FaultAction::Kind::kCrash) {
-      if (!algos_[static_cast<std::size_t>(act.node)]->crashed()) {
-        Choice c;
-        c.kind = Choice::Kind::kCrash;
-        c.node = act.node;
-        c.action = static_cast<std::int32_t>(a);
-        out.push_back(std::move(c));
-      }
-    } else if (act.kind == fault::FaultAction::Kind::kRestart) {
-      if (algos_[static_cast<std::size_t>(act.node)]->crashed()) {
-        Choice c;
-        c.kind = Choice::Kind::kRestart;
-        c.node = act.node;
-        c.action = static_cast<std::int32_t>(a);
-        out.push_back(std::move(c));
-      }
-    } else if (act.kind == fault::FaultAction::Kind::kPartition) {
-      // A cut is a real scheduling alternative at any un-partitioned state;
-      // in-flight messages keep their delivery events (a cut severs links,
-      // not packets already in the air).
-      if (!cluster_->network().faults().partitioned()) {
-        Choice c;
-        c.kind = Choice::Kind::kPartition;
-        c.action = static_cast<std::int32_t>(a);
-        c.groups = groups_key(act.groups);
-        out.push_back(std::move(c));
-      }
-    } else if (act.kind == fault::FaultAction::Kind::kHeal) {
-      if (cluster_->network().faults().partitioned()) {
-        Choice c;
-        c.kind = Choice::Kind::kHeal;
-        c.action = static_cast<std::int32_t>(a);
-        out.push_back(std::move(c));
-      }
-    } else {  // kLoseNext (the only other verb the config validator admits)
-      for (std::size_t i = 0; i < fires; ++i) {
-        const Choice& f = out[i];
-        if (f.klass != sim::EventClass::kDelivery) continue;
-        if (act.msg_type != "*" && f.msg_type != act.msg_type) continue;
-        if (act.src >= 0 && f.src != act.src) continue;
-        if (act.dst >= 0 && f.node != act.dst) continue;
-        Choice d = f;
-        d.kind = Choice::Kind::kDrop;
-        d.action = static_cast<std::int32_t>(a);
-        out.push_back(std::move(d));
-      }
+    if (act.kind != fault::FaultAction::Kind::kLoseNext) {
+      if (fault_applies(act)) out.push_back(fault_choice(a));
+      continue;
+    }
+    for (std::size_t i = 0; i < fires; ++i) {
+      if (!drops(act, out[i])) continue;
+      Choice d = out[i];
+      d.kind = Choice::Kind::kDrop;
+      d.action = static_cast<std::int32_t>(a);
+      out.push_back(std::move(d));
     }
   }
-  std::sort(out.begin(), out.end(), [](const Choice& x, const Choice& y) {
-    return x.key() < y.key();
-  });
-  return out;
+  // Sort by key, building each key once.  Keys are unique, so this is the
+  // order a key-comparing sort gives.
+  std::vector<std::pair<std::string, std::size_t>> keyed;
+  keyed.reserve(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    keyed.emplace_back(out[i].key(), i);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<Choice> sorted;
+  sorted.reserve(out.size());
+  for (const auto& [key, i] : keyed) sorted.push_back(std::move(out[i]));
+  return sorted;
 }
 
 std::optional<Choice> World::find_enabled(std::string_view key) {
@@ -211,6 +259,40 @@ std::optional<Choice> World::find_enabled(std::string_view key) {
     if (c.key() == key) return std::move(c);
   }
   return std::nullopt;
+}
+
+void World::replay(const Choice& c) {
+  bool found = false;
+  if (c.kind == Choice::Kind::kFire || c.kind == Choice::Kind::kDrop) {
+    visit_fires([&](const sim::PendingEvent& ev, const MsgInfo* info) {
+      if (ev.id != c.event) return false;
+      Choice f = fire_choice(ev, info);
+      if (c.kind == Choice::Kind::kDrop) {
+        f.kind = Choice::Kind::kDrop;
+        f.action = c.action;
+      }
+      found = f.time == c.time && same_choice(f, c);
+      return true;
+    });
+    if (found && c.kind == Choice::Kind::kDrop) {
+      const auto a = static_cast<std::size_t>(c.action);
+      found = a < actions_.size() && action_done_[a] == 0 &&
+              actions_[a].kind == fault::FaultAction::Kind::kLoseNext &&
+              drops(actions_[a], c);
+    }
+  } else {
+    const auto a = static_cast<std::size_t>(c.action);
+    found = a < actions_.size() && action_done_[a] == 0 &&
+            fault_applies(actions_[a]) && same_choice(fault_choice(a), c);
+  }
+  if (!found) {
+    throw std::logic_error(
+        "verify: replay diverged at step " + std::to_string(steps_) +
+        " — committed choice \"" + c.key() +
+        "\" is not enabled with the same event and time (nondeterministic "
+        "world?)");
+  }
+  apply(c);
 }
 
 void World::apply(const Choice& c) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "mutex/registry.hpp"
 #include "obs/sinks.hpp"
 #include "verify/counterexample.hpp"
 #include "verify/explorer.hpp"
@@ -81,6 +82,9 @@ TEST(Explorer, PathReversalN3TwoRequestsEachIsClean) {
 }
 
 TEST(Explorer, ArbiterWithRecoverySurvivesCrashChoices) {
+  // The benchmark's world (perfbench verify_recovery_n3): every statistic
+  // is pinned, so a change to how prefixes are replayed must walk exactly
+  // the same search.
   VerifyConfig cfg = base_config("arbiter-tp");
   cfg.params.set("recovery", 1.0);
   cfg.fault_plan = "t=0 crash 2";
@@ -88,6 +92,14 @@ TEST(Explorer, ArbiterWithRecoverySurvivesCrashChoices) {
   EXPECT_TRUE(res.ok()) << res.violation->describe();
   EXPECT_TRUE(res.stats.complete);
   EXPECT_EQ(res.stats.schedules, 12312u);
+  EXPECT_EQ(res.stats.terminal, 7344u);
+  EXPECT_EQ(res.stats.truncated, 0u);
+  EXPECT_EQ(res.stats.sleep_blocked, 4968u);
+  EXPECT_EQ(res.stats.transitions, 26741u);
+  EXPECT_EQ(res.stats.replayed, 193844u);
+  EXPECT_EQ(res.stats.sleep_pruned, 11284u);
+  EXPECT_EQ(res.stats.max_frontier, 6u);
+  EXPECT_EQ(res.stats.max_depth_reached, 30u);
 }
 
 TEST(Explorer, IdenticalConfigsProduceIdenticalStats) {
@@ -99,6 +111,71 @@ TEST(Explorer, IdenticalConfigsProduceIdenticalStats) {
   EXPECT_EQ(a.stats.sleep_pruned, b.stats.sleep_pruned);
   EXPECT_EQ(a.stats.max_frontier, b.stats.max_frontier);
   EXPECT_EQ(a.stats.max_depth_reached, b.stats.max_depth_reached);
+}
+
+// ------------------------------------------------- nondeterministic worlds
+//
+// The explorer replays stored choices into fresh Worlds, so a world that is
+// not a pure function of its config must make it throw, not explore.  The
+// test-only "test-flipping-arbiter" is arbiter-tp with one parameter that
+// reads a process-wide count of node builds: the first World's nodes get
+// one value, every later World's nodes another.
+
+struct Flip {
+  std::string key;
+  double first = 0.0;
+  double later = 0.0;
+  std::size_t builds = 0;
+};
+Flip g_flip;
+
+VerifyConfig flipping_config(const std::string& key, double first,
+                             double later) {
+  VerifyConfig cfg = base_config("test-flipping-arbiter");
+  (void)cfg.validate();  // registers arbiter-tp before the wrapper
+  mutex::Registry::instance().add(
+      "test-flipping-arbiter", [](const mutex::FactoryContext& ctx) {
+        const bool first_world = g_flip.builds++ < ctx.n_nodes;
+        mutex::ParamSet params = ctx.params;
+        params.set(g_flip.key, first_world ? g_flip.first : g_flip.later);
+        return mutex::Registry::instance().create(
+            "arbiter-tp", mutex::FactoryContext{ctx.id, ctx.n_nodes, params});
+      });
+  g_flip = Flip{key, first, later, 0};
+  return cfg;
+}
+
+// The explorer's error, or "" if it returned.
+std::string replay_error(const VerifyConfig& cfg) {
+  try {
+    (void)explore(cfg);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Explorer, ReplayCatchesAWorldWhoseChoicesChange) {
+  // After the first World the arbiter moves: REQUESTs go to another node,
+  // so a stored choice's key is no longer enabled.
+  const VerifyConfig cfg = flipping_config("initial_arbiter", 0.0, 1.0);
+  const std::string error = replay_error(cfg);
+  EXPECT_NE(error.find("replay diverged"), std::string::npos) << error;
+}
+
+TEST(Explorer, ReplayCatchesAWorldWhoseTimesChange) {
+  // After the first World the arbiter's request-collection window (t_req)
+  // closes 0.05 units later: every key stays the same, only a pending
+  // timer's time moves.  Full asynchrony (negative slack) leaves no window
+  // that could hide the shift, so only the check of the stored event time
+  // sees it, when the committed collection timer is replayed.  The budget
+  // keeps a check that misses it short.
+  VerifyConfig cfg = flipping_config("t_req", 0.1, 0.15);
+  cfg.time_slack = -1.0;
+  cfg.max_schedules = 2000;
+  const std::string error = replay_error(cfg);
+  EXPECT_NE(error.find("replay diverged"), std::string::npos) << error;
+  EXPECT_NE(error.find("\"t 0 #1\""), std::string::npos) << error;
 }
 
 // ------------------------------------------------- seeded mutants
@@ -337,8 +414,8 @@ TEST(Partition, QuorumlessRegenerationSplitBrainCounterexample) {
 
 // Recovery matrix over the quorum-guarded arbiter: crash-and-restart and
 // adversarial token loss, with the guard active, stay exhaustively clean.
-// (The N=4 crash cell runs in scripts/verify_smoke.sh: complete at 830220
-// schedules, but too slow for the unit suite.)
+// (The N=4 crash cell runs in scripts/verify_smoke.sh, pinned at 830220
+// schedules: ~20 s on one core, too slow for the unit suite.)
 
 TEST(Partition, QuorumGuardSurvivesCrashRestartChoices) {
   VerifyConfig cfg = base_config("arbiter-tp");

@@ -7,10 +7,12 @@
 //             --trace-format jsonl|chrome|text]
 //
 // Explore exits 0 when every schedule satisfies the invariants, 1 when a
-// violation was found (writing --cex-out if given), 2 on usage errors.
+// violation was found (writing --cex-out if given), 2 on usage errors —
+// an unwritable --cex-out among them, reported before the search starts.
 // Replay exits 0 when the recorded violation reproduces, 1 when it does
 // not — so CI can assert both directions.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -133,8 +135,23 @@ Options parse_args(const std::vector<std::string>& args) {
   return o;
 }
 
+// Proves `path` writable by opening it for append, which creates it without
+// truncating an existing file; a file created here is removed again, so a
+// clean run leaves nothing behind.
+void require_writable(const std::string& path) {
+  const bool existed = std::filesystem::exists(path);
+  {
+    std::ofstream probe(path, std::ios::app);
+    if (!probe) {
+      throw std::invalid_argument("cannot open --cex-out file '" + path + "'");
+    }
+  }
+  if (!existed) std::filesystem::remove(path);
+}
+
 int run_explore(const Options& o) {
   const VerifyConfig& cfg = o.cfg;
+  if (!o.cex_out.empty()) require_writable(o.cex_out);
   std::cout << "dmx_verify: algo=" << cfg.algorithm << " n=" << cfg.n_nodes
             << " requests=" << cfg.requests_per_node
             << " slack=" << cfg.time_slack
