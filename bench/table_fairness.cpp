@@ -8,11 +8,8 @@
 #include <cmath>
 
 #include "bench_common.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/delay_model.hpp"
-#include "runtime/cluster.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/generator.hpp"
 
@@ -30,39 +27,22 @@ HeteroResult run_hetero(const std::vector<double>& rates,
   using namespace dmx;
   harness::register_builtin_algorithms();
   const std::size_t n = rates.size();
-  runtime::Cluster cluster(
-      n, std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), seed);
-  mutex::ParamSet params;
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<mutex::MutexAlgorithm*> algos;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, n, params};
-    auto a = mutex::Registry::instance().create("arbiter-tp", ctx);
-    algos.push_back(a.get());
-    cluster.install(nid, std::move(a));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algos.back(), sim::SimTime::units(0.1),
-        &monitor, &ids));
-  }
-  std::vector<mutex::CsDriver*> dp;
+  mutex::MutexCluster mc(
+      "arbiter-tp", n, mutex::ParamSet{}, sim::SimTime::units(0.1),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), seed);
   std::vector<std::unique_ptr<workload::ArrivalProcess>> ap;
   for (std::size_t i = 0; i < n; ++i) {
-    dp.push_back(drivers[i].get());
     ap.push_back(std::make_unique<workload::PoissonArrivals>(rates[i]));
   }
-  workload::OpenLoopGenerator gen(cluster.simulator(), dp, std::move(ap),
+  workload::OpenLoopGenerator gen(mc.simulator(), mc.drivers(), std::move(ap),
                                   total_requests, seed);
-  cluster.start();
   gen.start();
-  cluster.simulator().run();
+  mc.simulator().run();
   HeteroResult out;
   for (std::size_t i = 0; i < n; ++i) {
-    out.completions.push_back(drivers[i]->completed());
+    out.completions.push_back(mc.driver(i).completed());
     out.arbiter_terms.push_back(
-        dynamic_cast<core::ArbiterMutex*>(algos[i])->times_arbiter());
+        dynamic_cast<core::ArbiterMutex&>(mc.algorithm(i)).times_arbiter());
   }
   return out;
 }

@@ -10,11 +10,8 @@
 #include "analysis/models.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/delay_model.hpp"
-#include "runtime/cluster.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/generator.hpp"
 
@@ -34,55 +31,38 @@ TourResult run_tour(const std::string& algorithm, std::uint64_t total) {
   harness::register_builtin_algorithms();
   constexpr std::size_t kN = 9;  // perfect square: fair to Maekawa
 
-  runtime::Cluster cluster(
-      kN, std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 21);
-  mutex::ParamSet params;
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<mutex::MutexAlgorithm*> algos;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::size_t i = 0; i < kN; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, kN, params};
-    auto algo = mutex::Registry::instance().create(algorithm, ctx);
-    algos.push_back(algo.get());
-    cluster.install(nid, std::move(algo));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algos.back(), sim::SimTime::units(0.08),
-        &monitor, &ids));
-  }
+  mutex::MutexCluster mc(
+      algorithm, kN, mutex::ParamSet{}, sim::SimTime::units(0.08),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 21);
 
   // Heterogeneous bursty demand: node i bursts at rate 2.0 during ON
   // periods whose share shrinks with i (node 0 chatty, node 8 nearly idle).
-  std::vector<mutex::CsDriver*> dp;
   std::vector<std::unique_ptr<workload::ArrivalProcess>> ap;
   for (std::size_t i = 0; i < kN; ++i) {
-    dp.push_back(drivers[i].get());
     const double mean_on = 2.0;
     const double mean_off = 1.0 + 2.0 * static_cast<double>(i);
     ap.push_back(std::make_unique<workload::BurstyArrivals>(
         2.0, dmx::sim::SimTime::units(mean_on),
         dmx::sim::SimTime::units(mean_off)));
   }
-  workload::OpenLoopGenerator gen(cluster.simulator(), dp, std::move(ap),
+  workload::OpenLoopGenerator gen(mc.simulator(), mc.drivers(), std::move(ap),
                                   total, 55);
-  cluster.start();
   gen.start();
-  cluster.simulator().run();
+  mc.simulator().run();
 
   TourResult r;
   stats::Welford lat;
-  for (auto& d : drivers) {
+  for (const mutex::CsDriver* d : mc.drivers()) {
     r.completed += d->completed();
     lat.merge(d->sojourn_time());
   }
   r.msgs_per_cs = r.completed > 0
-                      ? static_cast<double>(cluster.network().stats().sent) /
+                      ? static_cast<double>(mc.network().stats().sent) /
                             static_cast<double>(r.completed)
                       : 0.0;
   r.mean_latency = lat.mean();
   r.p99_proxy = lat.max();
-  r.safe = monitor.violations() == 0;
+  r.safe = mc.monitor().violations() == 0;
   r.live = r.completed == gen.submitted();
   return r;
 }

@@ -11,13 +11,10 @@
 
 #include "core/arbiter_mutex.hpp"
 #include "harness/experiment.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/delay_model.hpp"
 #include "obs/sinks.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 
 int main() {
   using namespace dmx;
@@ -30,79 +27,61 @@ int main() {
          "(ENQUIRY/RESUME/INVALIDATE),\ntoken regeneration under a new "
          "epoch, and the previous arbiter's PROBE/takeover.\n\n";
 
-  obs::Tracer tracer(std::make_shared<obs::TextSink>(std::cout, 0));
-  runtime::Cluster cluster(
-      5, std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 3,
-      tracer);
-
   mutex::ParamSet params;
   params.set("recovery", 1.0)
       .set("token_timeout", 2.0)
       .set("enquiry_timeout", 0.5)
       .set("arbiter_timeout", 4.0)
       .set("probe_timeout", 0.5);
-  std::vector<mutex::MutexAlgorithm*> algos;
-  for (std::int32_t i = 0; i < 5; ++i) {
-    mutex::FactoryContext ctx{net::NodeId{i}, 5, params};
-    auto algo = mutex::Registry::instance().create("arbiter-tp", ctx);
-    algos.push_back(algo.get());
-    cluster.install(net::NodeId{i}, std::move(algo));
-  }
-  mutex::SafetyMonitor monitor;
-  mutex::RequestIdSource ids;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (auto* algo : algos) {
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algo, sim::SimTime::units(0.2), &monitor,
-        &ids));
-  }
-  cluster.start();
-  auto& sim = cluster.simulator();
+  mutex::MutexCluster mc(
+      "arbiter-tp", 5, params, sim::SimTime::units(0.2),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 3,
+      obs::Tracer(std::make_shared<obs::TextSink>(std::cout, 0)));
+  auto& sim = mc.simulator();
 
   // --- Scenario 1: the PRIVILEGE to node 1 evaporates -----------------------
   sim.schedule_at(sim::SimTime::units(0.0), [&] {
     std::cout << "\n--- scenario 1: dropping the next PRIVILEGE message ---\n";
-    cluster.network().faults().drop_next_of_type("PRIVILEGE");
-    drivers[1]->submit();
-    drivers[2]->submit();
+    mc.network().faults().drop_next_of_type("PRIVILEGE");
+    mc.driver(1).submit();
+    mc.driver(2).submit();
   });
 
   // --- Scenario 2: node 3 dies while inside its critical section ------------
   sim.schedule_at(sim::SimTime::units(15.0), [&] {
     std::cout << "\n--- scenario 2: token holder crashes inside its CS ---\n";
-    drivers[3]->submit();
-    drivers[4]->submit();
+    mc.driver(3).submit();
+    mc.driver(4).submit();
   });
   sim.schedule_at(sim::SimTime::units(15.6), [&] {
-    cluster.crash_node(net::NodeId{3});
-    drivers[3]->on_node_crashed();
+    mc.cluster().crash_node(net::NodeId{3});
   });
   sim.schedule_at(sim::SimTime::units(30.0), [&] {
-    cluster.restart_node(net::NodeId{3});
+    mc.cluster().restart_node(net::NodeId{3});
   });
 
   // --- Scenario 3: the arbiter-elect crashes holding the idle token ---------
   sim.schedule_at(sim::SimTime::units(35.0), [&] {
     std::cout << "\n--- scenario 3: the current arbiter crashes ---\n";
-    drivers[2]->submit();
+    mc.driver(2).submit();
   });
   sim.schedule_at(sim::SimTime::units(36.5), [&] {
     // Node 2 is now the arbiter, idle with the token.  Kill it.
-    cluster.crash_node(net::NodeId{2});
-    drivers[2]->on_node_crashed();
+    mc.cluster().crash_node(net::NodeId{2});
   });
-  sim.schedule_at(sim::SimTime::units(38.0), [&] { drivers[0]->submit(); });
+  sim.schedule_at(sim::SimTime::units(38.0), [&] { mc.driver(0).submit(); });
 
   sim.run_until(sim::SimTime::units(120.0));
 
-  std::uint64_t completed = 0;
-  for (auto& d : drivers) completed += d->completed();
   core::ArbiterStats stats;
-  for (auto* a : algos) {
-    stats.merge(dynamic_cast<core::ArbiterMutex*>(a)->protocol_stats());
+  for (std::size_t i = 0; i < mc.size(); ++i) {
+    stats.merge(
+        dynamic_cast<core::ArbiterMutex&>(mc.algorithm(i)).protocol_stats());
   }
-  std::cout << "\nSummary: " << completed << " critical sections completed, "
-            << monitor.violations() << " safety violations\n"
+  const std::uint64_t violations = mc.monitor().violations();
+  std::cout << "\nSummary: " << mc.total_completed()
+            << " critical sections completed, " << violations
+            << " safety violations\n"
             << "  warnings=" << stats.warnings_sent
             << " enquiries=" << stats.enquiries_sent
             << " resumes=" << stats.resumes_sent
@@ -110,5 +89,5 @@ int main() {
             << "  tokens regenerated=" << stats.tokens_regenerated
             << " probes=" << stats.probes_sent
             << " takeovers=" << stats.arbiter_takeovers << "\n";
-  return monitor.violations() == 0 ? 0 : 1;
+  return violations == 0 ? 0 : 1;
 }

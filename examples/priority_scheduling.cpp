@@ -13,11 +13,8 @@
 #include "core/arbiter_mutex.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/delay_model.hpp"
-#include "runtime/cluster.hpp"
 #include "stats/welford.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/generator.hpp"
@@ -38,33 +35,20 @@ ClassStats run(const std::string& order, std::uint64_t total) {
   constexpr std::size_t kN = 10;
   constexpr std::size_t kHighNodes = 3;  // nodes 0..2 are high priority
 
-  runtime::Cluster cluster(
-      kN, std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 5);
   mutex::ParamSet params;
   params.set("order", order);
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<mutex::MutexAlgorithm*> algos;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::size_t i = 0; i < kN; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, kN, params};
-    auto algo = mutex::Registry::instance().create("arbiter-tp", ctx);
-    algos.push_back(algo.get());
-    cluster.install(nid, std::move(algo));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algos.back(), sim::SimTime::units(0.1),
-        &monitor, &ids));
-  }
+  mutex::MutexCluster mc(
+      "arbiter-tp", kN, params, sim::SimTime::units(0.1),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 5);
 
   ClassStats out;
   for (std::size_t i = 0; i < kN; ++i) {
-    drivers[i]->set_completion_callback([&, i](const mutex::CsRequest& r) {
+    mc.driver(i).set_completion_callback([&, i](const mutex::CsRequest& r) {
       // Measure from issuance to the algorithm (not workload arrival):
       // priority ordering acts inside arbitration batches, and under
       // saturation the local open-loop queue would otherwise dominate.
       const double latency =
-          cluster.simulator().now().to_units() - r.issued_at.to_units();
+          mc.simulator().now().to_units() - r.issued_at.to_units();
       if (i < kHighNodes) {
         out.high_latency.add(latency);
         ++out.high_done;
@@ -75,26 +59,23 @@ ClassStats run(const std::string& order, std::uint64_t total) {
     });
   }
 
-  std::vector<mutex::CsDriver*> dp;
   std::vector<std::unique_ptr<workload::ArrivalProcess>> ap;
-  for (auto& d : drivers) {
-    dp.push_back(d.get());
+  for (std::size_t i = 0; i < kN; ++i) {
     ap.push_back(std::make_unique<workload::PoissonArrivals>(0.3));
   }
-  workload::OpenLoopGenerator gen(cluster.simulator(), dp, std::move(ap),
+  workload::OpenLoopGenerator gen(mc.simulator(), mc.drivers(), std::move(ap),
                                   total, 77);
   gen.set_priority_fn([](std::size_t node, std::uint64_t) {
     return node < kHighNodes ? 10 : 0;  // static node priorities (§5.2)
   });
-  cluster.start();
   gen.start();
-  cluster.simulator().run();
+  mc.simulator().run();
 
   for (std::size_t i = kHighNodes; i < kN; ++i) {
     out.arbiter_terms_low +=
-        dynamic_cast<core::ArbiterMutex*>(algos[i])->times_arbiter();
+        dynamic_cast<core::ArbiterMutex&>(mc.algorithm(i)).times_arbiter();
   }
-  if (monitor.violations() != 0) {
+  if (mc.monitor().violations() != 0) {
     std::cerr << "SAFETY VIOLATION\n";
     std::exit(1);
   }

@@ -12,13 +12,10 @@
 
 #include "core/arbiter_mutex.hpp"
 #include "harness/experiment.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/delay_model.hpp"
 #include "obs/sinks.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 
 int main() {
   using namespace dmx;
@@ -29,50 +26,33 @@ int main() {
                "(all durations = 1 time unit; node 0 is the initial arbiter "
                "and token holder)\n\n";
 
-  // A cluster that prints every protocol event.
-  obs::Tracer tracer(std::make_shared<obs::TextSink>(std::cout, 0));
-  runtime::Cluster cluster(
-      5, std::make_unique<net::ConstantDelay>(sim::SimTime::units(1.0)), 7,
-      tracer);
-
-  // One algorithm instance per node, built through the registry exactly as
-  // the harness does.
+  // Five nodes built through the registry exactly as the harness does,
+  // printing every protocol event.  Each driver holds the critical section
+  // for 1 unit and reports to one global safety monitor.
   mutex::ParamSet params;
   params.set("t_req", 1.0).set("t_fwd", 1.0);
-  std::vector<mutex::MutexAlgorithm*> algos;
-  for (std::int32_t i = 0; i < 5; ++i) {
-    mutex::FactoryContext ctx{net::NodeId{i}, 5, params};
-    auto algo = mutex::Registry::instance().create("arbiter-tp", ctx);
-    algos.push_back(algo.get());
-    cluster.install(net::NodeId{i}, std::move(algo));
-  }
-
-  // Drivers hold the critical section for 1 unit and check global safety.
-  mutex::SafetyMonitor monitor;
-  mutex::RequestIdSource ids;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (auto* algo : algos) {
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algo, sim::SimTime::units(1.0), &monitor,
-        &ids));
-  }
-  cluster.start();
+  mutex::MutexCluster mc(
+      "arbiter-tp", 5, params, sim::SimTime::units(1.0),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(1.0)), 7,
+      obs::Tracer(std::make_shared<obs::TextSink>(std::cout, 0)));
 
   // The paper's scenario: requests from nodes 1 and 4 land in the first
   // collection window; node 3's request reaches the old arbiter during its
   // forwarding phase.
-  auto& sim = cluster.simulator();
-  sim.schedule_at(sim::SimTime::units(0.0), [&] { drivers[1]->submit(); });
-  sim.schedule_at(sim::SimTime::units(0.2), [&] { drivers[4]->submit(); });
-  sim.schedule_at(sim::SimTime::units(1.9), [&] { drivers[3]->submit(); });
+  auto& sim = mc.simulator();
+  sim.schedule_at(sim::SimTime::units(0.0), [&] { mc.driver(1).submit(); });
+  sim.schedule_at(sim::SimTime::units(0.2), [&] { mc.driver(4).submit(); });
+  sim.schedule_at(sim::SimTime::units(1.9), [&] { mc.driver(3).submit(); });
   sim.run();
 
+  const mutex::SafetyMonitor& monitor = mc.monitor();
   std::cout << "\nDone: " << monitor.entries()
-            << " critical sections executed, "
-            << cluster.network().stats().sent << " messages, "
-            << monitor.violations() << " safety violations.\n";
+            << " critical sections executed, " << mc.network().stats().sent
+            << " messages, " << monitor.violations()
+            << " safety violations.\n";
   std::cout << "Final arbiter: node "
-            << dynamic_cast<core::ArbiterMutex*>(algos[0])->known_arbiter()
+            << dynamic_cast<core::ArbiterMutex&>(mc.algorithm(0))
+                   .known_arbiter()
             << " (agreed by all nodes).\n";
   return monitor.violations() == 0 ? 0 : 1;
 }

@@ -13,11 +13,8 @@
 
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/delay_model.hpp"
-#include "runtime/cluster.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/generator.hpp"
 
@@ -36,54 +33,36 @@ LockServiceRun run_lock_service(const std::string& algorithm,
                                 std::uint64_t increments) {
   using namespace dmx;
   harness::register_builtin_algorithms();
-  runtime::Cluster cluster(
-      n_nodes, std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)),
-      1234);
-  mutex::ParamSet params;
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<mutex::MutexAlgorithm*> algos;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, n_nodes, params};
-    auto algo = mutex::Registry::instance().create(algorithm, ctx);
-    algos.push_back(algo.get());
-    cluster.install(nid, std::move(algo));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algos.back(), sim::SimTime::units(0.05),
-        &monitor, &ids));
-  }
+  mutex::MutexCluster mc(
+      algorithm, n_nodes, mutex::ParamSet{}, sim::SimTime::units(0.05),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 1234);
 
   // The application: a read-modify-write under the lock.
   LockServiceRun result;
   std::vector<std::uint64_t> read_register(n_nodes, 0);
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    drivers[i]->set_grant_callback([&, i](const mutex::CsRequest&) {
+    mc.driver(i).set_grant_callback([&, i](const mutex::CsRequest&) {
       read_register[i] = result.counter;  // read at CS entry
     });
-    drivers[i]->set_completion_callback([&, i](const mutex::CsRequest&) {
+    mc.driver(i).set_completion_callback([&, i](const mutex::CsRequest&) {
       result.counter = read_register[i] + 1;  // write at CS exit
       ++result.increments;
     });
   }
 
-  std::vector<mutex::CsDriver*> dp;
   std::vector<std::unique_ptr<workload::ArrivalProcess>> ap;
-  for (auto& d : drivers) {
-    dp.push_back(d.get());
+  for (std::size_t i = 0; i < n_nodes; ++i) {
     ap.push_back(std::make_unique<workload::PoissonArrivals>(0.8));
   }
-  workload::OpenLoopGenerator gen(cluster.simulator(), dp, std::move(ap),
+  workload::OpenLoopGenerator gen(mc.simulator(), mc.drivers(), std::move(ap),
                                   increments, 99);
-  cluster.start();
   gen.start();
-  cluster.simulator().run();
+  mc.simulator().run();
 
-  result.violations = monitor.violations();
-  result.messages = cluster.network().stats().sent;
+  result.violations = mc.monitor().violations();
+  result.messages = mc.network().stats().sent;
   stats::Welford lat;
-  for (auto& d : drivers) lat.merge(d->sojourn_time());
+  for (const mutex::CsDriver* d : mc.drivers()) lat.merge(d->sojourn_time());
   result.mean_latency = lat.mean();
   return result;
 }

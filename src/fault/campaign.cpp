@@ -97,18 +97,12 @@ std::size_t CampaignRunner::unfired_targeted_drops() const {
 void CampaignRunner::execute(const FaultAction& action) {
   auto& faults = cluster_.network().faults();
   switch (action.kind) {
-    case FaultAction::Kind::kCrash: {
-      const net::NodeId id = to_node(action.node);
-      cluster_.crash_node(id);
-      if (crash_hook_) crash_hook_(id);
+    case FaultAction::Kind::kCrash:
+      cluster_.crash_node(to_node(action.node));
       break;
-    }
-    case FaultAction::Kind::kRestart: {
-      const net::NodeId id = to_node(action.node);
-      cluster_.restart_node(id);
-      if (restart_hook_) restart_hook_(id);
+    case FaultAction::Kind::kRestart:
+      cluster_.restart_node(to_node(action.node));
       break;
-    }
     case FaultAction::Kind::kLoseNext:
       one_shot_ids_.push_back(faults.drop_next_of_type(
           action.msg_type, to_node(action.src), to_node(action.dst)));

@@ -2,11 +2,12 @@
 //
 // The runner turns each FaultAction into a cancellable simulator event that
 // fires at its scripted time and acts on the cluster's FaultInjector and
-// Process lifecycle (crash/restart).  Hooks let the harness ride along:
-// crash/restart hooks abort per-node driver demand, and the fault observer
-// feeds the RecoveryMetrics layer so time-to-recovery is measured per
-// disruptive action.  Everything executes on the deterministic virtual
-// clock, so the same seed plus the same plan is the same run, byte for byte.
+// Process lifecycle (crash/restart).  A crash voids the node's driver demand
+// by itself: Cluster::crash_node reaches each CsDriver through its algorithm.
+// The fault observer lets the harness ride along: it feeds the
+// RecoveryMetrics layer so time-to-recovery is measured per disruptive
+// action.  Everything executes on the deterministic virtual clock, so the
+// same seed plus the same plan is the same run, byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "net/node_id.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/simulator.hpp"
 
@@ -23,7 +23,6 @@ namespace dmx::fault {
 
 class CampaignRunner {
  public:
-  using NodeHook = std::function<void(net::NodeId)>;
   /// Observes every executed action (at its fire time); `disruptive()`
   /// tells whether it opens a recovery window.
   using Observer = std::function<void(sim::SimTime, const FaultAction&)>;
@@ -34,10 +33,6 @@ class CampaignRunner {
   CampaignRunner& operator=(const CampaignRunner&) = delete;
   ~CampaignRunner() { cancel(); }
 
-  /// Invoked right after the cluster crashes / restarts a node, so the
-  /// harness can abort driver demand or resume workload.
-  void set_crash_hook(NodeHook hook) { crash_hook_ = std::move(hook); }
-  void set_restart_hook(NodeHook hook) { restart_hook_ = std::move(hook); }
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
   /// Validate the plan against the cluster (node indices in range, message
@@ -68,8 +63,6 @@ class CampaignRunner {
 
   runtime::Cluster& cluster_;
   FaultPlan plan_;
-  NodeHook crash_hook_;
-  NodeHook restart_hook_;
   Observer observer_;
   bool started_ = false;
   std::size_t executed_ = 0;

@@ -71,6 +71,25 @@ std::pair<std::string, std::string> split_kv(const std::string& flag,
   return {value.substr(0, eq), value.substr(eq + 1)};
 }
 
+}  // namespace
+
+void set_param(mutex::ParamSet& params, const std::string& key,
+               const std::string& value) {
+  try {
+    params.set(key, parse_double(key, value));
+  } catch (const std::invalid_argument&) {
+    params.set(key, value);
+  }
+}
+
+void parse_param(const std::string& flag, const std::string& kv,
+                 mutex::ParamSet& params) {
+  const auto [key, value] = split_kv(flag, kv);
+  set_param(params, key, value);
+}
+
+namespace {
+
 /// The sharded lock-service branch of run_cli (--resources > 1): one
 /// scenario run instead of a lambda×seed sweep.  --requests is the
 /// aggregate demand, Zipf-split per shard; the table reports per-shard
@@ -287,13 +306,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--t-exec") {
       o.t_exec = parse_double(a, need_value(i++, a));
     } else if (a == "--param") {
-      const auto [k, v] = split_kv(a, need_value(i++, a));
-      // Numeric if it parses as a number, string otherwise.
-      try {
-        o.params.set(k, parse_double(a, v));
-      } catch (const std::invalid_argument&) {
-        o.params.set(k, v);
-      }
+      parse_param(a, need_value(i++, a), o.params);
     } else if (a == "--delay") {
       const std::string v = need_value(i++, a);
       if (v == "constant") {
@@ -366,12 +379,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--trace-out") {
       o.trace_out = need_value(i++, a);
     } else if (a == "--trace-format") {
-      const std::string v = need_value(i++, a);
-      if (v != "jsonl" && v != "chrome" && v != "text") {
-        throw std::invalid_argument("unknown --trace-format: " + v +
-                                    " (expected jsonl, chrome, or text)");
-      }
-      o.trace_format = v;
+      o.trace_format = obs::parse_trace_format(a, need_value(i++, a));
     } else if (a == "--emit-json") {
       o.emit_json = need_value(i++, a);
     } else {
@@ -404,10 +412,7 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
       os << "cannot open --trace-out file '" << opts.trace_out << "'\n";
       return 2;
     }
-    obs::TraceFormat fmt = obs::TraceFormat::kJsonl;
-    if (opts.trace_format == "chrome") fmt = obs::TraceFormat::kChrome;
-    if (opts.trace_format == "text") fmt = obs::TraceFormat::kText;
-    trace_sink = obs::make_format_sink(fmt, trace_file);
+    trace_sink = obs::make_format_sink(opts.trace_format, trace_file);
   }
 
   if (opts.n_resources > 1) {

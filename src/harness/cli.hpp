@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "obs/sinks.hpp"
 
 namespace dmx::harness {
 
@@ -83,7 +84,7 @@ struct CliOptions {
   /// empty = no trace.  Format: "jsonl", "chrome" (Perfetto-loadable), or
   /// "text" (the human-readable dmx_trace format).
   std::string trace_out;
-  std::string trace_format = "jsonl";
+  obs::TraceFormat trace_format = obs::TraceFormat::kJsonl;
   /// Run manifest (dmx.run.v1 JSON, every run of the sweep) output path;
   /// empty = no manifest.  Implies span collection on every run so the
   /// manifest carries the per-phase latency decomposition.
@@ -101,6 +102,17 @@ CliOptions parse_cli(const std::vector<std::string>& args);
 /// truncation.  Throws std::invalid_argument naming `flag` and `value`.
 double parse_double(const std::string& flag, const std::string& value);
 std::uint64_t parse_u64(const std::string& flag, const std::string& value);
+
+/// --param key=value, shared by every dmx_* tool.  Throws
+/// std::invalid_argument naming `flag` unless `kv` is key=value.
+void parse_param(const std::string& flag, const std::string& kv,
+                 mutex::ParamSet& params);
+
+/// The value half of parse_param: a number when parse_double accepts the
+/// whole of `value`, a string otherwise ("order=priority").  Also reads the
+/// "param KEY VALUE" lines of dmx.cex.v1 files.
+void set_param(mutex::ParamSet& params, const std::string& key,
+               const std::string& value);
 
 /// Usage text for --help / errors.
 std::string cli_usage();

@@ -7,14 +7,12 @@
 #include "fault/campaign.hpp"
 #include "fault/fault_plan.hpp"
 #include "harness/parallel.hpp"
-#include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/progress_monitor.hpp"
 #include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
 #include "net/delay_model.hpp"
 #include "net/msg_kind.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 #include "stats/recovery_metrics.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/generator.hpp"
@@ -180,8 +178,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   const obs::Tracer tracer =
       sink ? obs::Tracer(sink) : obs::Tracer();
 
-  runtime::Cluster cluster(cfg.n_nodes, make_delay(cfg), cfg.seed ^ 0x5eedULL,
-                           tracer);
+  std::optional<net::ReliableTransportConfig> reliable;
   if (cfg.transport == TransportKind::kReliable) {
     auto tc = net::ReliableTransportConfig::scaled_to(
         sim::SimTime::units(cfg.t_msg));
@@ -195,26 +192,17 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     tc.jitter_frac = cfg.params.get_num("rto_jitter", tc.jitter_frac);
     tc.max_retries = static_cast<int>(
         cfg.params.get_num("max_retries", tc.max_retries));
-    cluster.use_reliable_transport(tc);
+    reliable = tc;
   }
+  mutex::MutexCluster mc(cfg.algorithm, cfg.n_nodes, cfg.params,
+                         sim::SimTime::units(cfg.t_exec), make_delay(cfg),
+                         cfg.seed ^ 0x5eedULL, tracer, reliable);
+  sim::Simulator& sim = mc.simulator();
+  // Starting the cluster sent nothing, so loss applies from the first send.
   for (const auto& [type, p] : cfg.loss_by_type) {
-    cluster.network().faults().set_loss_probability(type, p);
+    mc.network().faults().set_loss_probability(type, p);
   }
 
-  auto& registry = mutex::Registry::instance();
-  std::vector<mutex::MutexAlgorithm*> algos(cfg.n_nodes);
-  for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, cfg.n_nodes, cfg.params};
-    auto algo = registry.create(cfg.algorithm, ctx);
-    algos[i] = algo.get();
-    cluster.install(nid, std::move(algo));
-  }
-
-  mutex::SafetyMonitor monitor;
-  mutex::RequestIdSource ids;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  drivers.reserve(cfg.n_nodes);
   // Service-time distribution for percentile reporting.  The range covers
   // saturation-level waits (~N * (t_msg + t_exec)) with margin; overflow is
   // clamped to the top edge by Histogram::quantile.
@@ -223,13 +211,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       4'096);
   stats::RecoveryMetrics recovery;
   for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *algos[i], sim::SimTime::units(cfg.t_exec),
-        &monitor, &ids));
-    drivers.back()->set_tracer(tracer);
-    drivers.back()->set_completion_callback(
-        [&service_hist, &cluster, &recovery](const mutex::CsRequest& req) {
-          const double now = cluster.simulator().now().to_units();
+    mc.driver(i).set_completion_callback(
+        [&service_hist, &sim, &recovery](const mutex::CsRequest& req) {
+          const double now = sim.now().to_units();
           service_hist.add(now - req.issued_at.to_units());
           recovery.on_progress(now, req.node.value());
         });
@@ -239,10 +223,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // virtual clock, and measure each disruptive action's recovery window.
   std::optional<fault::CampaignRunner> campaign;
   if (!cfg.fault_plan.empty()) {
-    campaign.emplace(cluster, fault::FaultPlan::parse(cfg.fault_plan));
-    campaign->set_crash_hook([&drivers](net::NodeId id) {
-      drivers[id.index()]->on_node_crashed();
-    });
+    campaign.emplace(mc.cluster(), fault::FaultPlan::parse(cfg.fault_plan));
     campaign->set_observer(
         [&recovery](sim::SimTime t, const fault::FaultAction& a) {
           if (a.disruptive()) recovery.on_fault(t.to_units(), a.describe());
@@ -260,33 +241,29 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     pm.stall_threshold = sim::SimTime::units(cfg.stall_threshold > 0.0
                                                  ? cfg.stall_threshold
                                                  : auto_stall_threshold(cfg));
-    progress.emplace(cluster.simulator(), pm);
+    progress.emplace(sim, pm);
     for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-      progress->watch(drivers[i].get(), algos[i]);
+      progress->watch(&mc.driver(i), &mc.algorithm(i));
     }
   }
 
-  std::vector<mutex::CsDriver*> driver_ptrs;
   std::vector<std::unique_ptr<workload::ArrivalProcess>> arrivals;
-  for (auto& d : drivers) {
-    driver_ptrs.push_back(d.get());
+  for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
     arrivals.push_back(std::make_unique<workload::PoissonArrivals>(cfg.lambda));
   }
-  workload::OpenLoopGenerator gen(cluster.simulator(), std::move(driver_ptrs),
-                                  std::move(arrivals), cfg.total_requests,
-                                  cfg.seed);
+  workload::OpenLoopGenerator gen(sim, mc.drivers(), std::move(arrivals),
+                                  cfg.total_requests, cfg.seed);
 
-  cluster.start();
   gen.start();
   if (campaign) campaign->start();
   if (progress) progress->start();
   const double bound =
       cfg.max_sim_units > 0.0 ? cfg.max_sim_units : auto_sim_bound(cfg);
-  cluster.simulator().set_event_limit(
-      cfg.max_events > 0 ? cfg.max_events : auto_event_bound(cfg));
-  cluster.simulator().run_until(sim::SimTime::units(bound));
+  sim.set_event_limit(cfg.max_events > 0 ? cfg.max_events
+                                          : auto_event_bound(cfg));
+  sim.run_until(sim::SimTime::units(bound));
   if (progress) progress->stop();
-  recovery.end_run(cluster.simulator().now().to_units());
+  recovery.end_run(sim.now().to_units());
 
   ExperimentResult r;
   r.algorithm = cfg.algorithm;
@@ -296,7 +273,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // aborted mid-flight plus demand that arrived while the node was down
   // (the generator counts it; the driver of a dead node swallows it).
   std::uint64_t live_demand = 0;
-  for (const auto& d : drivers) {
+  for (const mutex::CsDriver* d : mc.drivers()) {
     r.completed += d->completed();
     r.aborted_by_crash += d->aborted_by_crash();
     live_demand += d->submitted() - d->aborted_by_crash();
@@ -325,38 +302,37 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     r.stall_time = progress->stall_time().to_units();
     r.stall_diagnosis = progress->diagnosis();
   }
-  if (cluster.simulator().event_limit_hit()) {
+  if (sim.event_limit_hit()) {
     r.hit_event_limit = true;
     r.event_limit_diagnosis =
-        "event limit of " + std::to_string(cluster.simulator().event_limit()) +
-        " events hit at t=" + cluster.simulator().now().to_string() +
-        " with " + std::to_string(cluster.simulator().pending_count()) +
+        "event limit of " + std::to_string(sim.event_limit()) +
+        " events hit at t=" + sim.now().to_string() + " with " +
+        std::to_string(sim.pending_count()) +
         " events still pending (runaway schedule?)\n";
     for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-      r.event_limit_diagnosis += "  node " + std::to_string(i) + ": " +
-                                 (algos[i]->crashed()
-                                      ? std::string("CRASHED")
-                                      : algos[i]->debug_state()) +
-                                 "\n";
+      const mutex::MutexAlgorithm& algo = mc.algorithm(i);
+      r.event_limit_diagnosis +=
+          "  node " + std::to_string(i) + ": " +
+          (algo.crashed() ? std::string("CRASHED") : algo.debug_state()) +
+          "\n";
     }
   }
 
   // Unified structured reports: safety first, then liveness, then backstop.
-  r.violation_reports = monitor.reports();
+  r.violation_reports = mc.monitor().reports();
   if (progress && progress->violation()) {
     r.violation_reports.push_back(*progress->violation());
   }
   if (r.hit_event_limit) {
     mutex::Violation v;
     v.kind = mutex::Violation::Kind::kEventLimit;
-    v.time = cluster.simulator().now();
-    v.detail = "executed " +
-               std::to_string(cluster.simulator().events_executed()) +
+    v.time = sim.now();
+    v.detail = "executed " + std::to_string(sim.events_executed()) +
                " events without draining the schedule";
     r.violation_reports.push_back(std::move(v));
   }
 
-  const auto& net_stats = cluster.network().stats();
+  const auto& net_stats = mc.network().stats();
   r.messages_total = net_stats.sent;
   r.messages_by_kind = net_stats.sent_by_kind;
   r.messages_per_cs =
@@ -373,7 +349,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   r.service_p99 = service_hist.quantile(0.99);
 
   for (std::size_t i = 0; i < cfg.n_nodes; ++i) {
-    if (auto* arb = dynamic_cast<core::ArbiterMutex*>(algos[i])) {
+    if (auto* arb = dynamic_cast<core::ArbiterMutex*>(&mc.algorithm(i))) {
       r.protocol.merge(arb->protocol_stats());
       r.arbiter_terms_per_node.push_back(arb->times_arbiter());
     }
@@ -396,11 +372,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   }
   if (sink) sink->flush();
 
-  r.transport = cluster.transport_stats();
-  r.safety_violations = monitor.violations();
-  r.max_occupancy = monitor.max_occupancy();
-  r.sim_duration_units = cluster.simulator().now().to_units();
-  r.sim_events = cluster.simulator().events_executed();
+  r.transport = mc.cluster().transport_stats();
+  r.safety_violations = mc.monitor().violations();
+  r.max_occupancy = mc.monitor().max_occupancy();
+  r.sim_duration_units = sim.now().to_units();
+  r.sim_events = sim.events_executed();
   return r;
 }
 

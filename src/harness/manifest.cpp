@@ -66,6 +66,10 @@ void write_config(obs::JsonWriter& w, const ExperimentConfig& cfg) {
     w.key(k);
     w.number(v);
   }
+  for (const auto& [k, v] : cfg.params.strs()) {
+    w.key(k);
+    w.string(v);
+  }
   w.end_object();
   w.key("loss_by_type");
   w.begin_object();

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -74,6 +73,17 @@ struct CsRequest {
   int priority = 0;                   ///< Higher value = higher priority.
 };
 
+/// The per-node party an algorithm reports to (mutex::CsDriver): each grant
+/// of the node's outstanding request, and the crash of the node.
+class CsListener {
+ public:
+  virtual void on_grant(const CsRequest& req) = 0;
+  virtual void on_node_crashed() = 0;
+
+ protected:
+  ~CsListener() = default;
+};
+
 /// Base class for one node's half of a mutual exclusion protocol.
 ///
 /// Contract:
@@ -83,10 +93,8 @@ struct CsRequest {
 ///  * release() is called exactly once after each grant.
 class MutexAlgorithm : public runtime::Process {
  public:
-  using GrantCallback = std::function<void(const CsRequest&)>;
-
-  /// The driver installs its grant callback before the cluster starts.
-  void set_grant_callback(GrantCallback cb) { grant_cb_ = std::move(cb); }
+  /// The driver attaches itself before the cluster starts.
+  void set_listener(CsListener* listener) { listener_ = listener; }
 
   /// Ask for the critical section on behalf of this node.
   virtual void request(const CsRequest& req) = 0;
@@ -129,11 +137,19 @@ class MutexAlgorithm : public runtime::Process {
   /// point that stamps cs.granted onto the request's lifecycle span.
   void grant(const CsRequest& req) {
     emit(obs::kEvCsGranted, req.request_id);
-    if (grant_cb_) grant_cb_(req);
+    if (listener_ != nullptr) listener_->on_grant(req);
+  }
+
+  /// Every crash (Cluster::crash_node) funnels through here, right after
+  /// the node.crashed event, so a crash reaches the driver the way a grant
+  /// does.  Final: an algorithm keeps its state across a crash and resets
+  /// what it must in on_restart().
+  void on_crash() final {
+    if (listener_ != nullptr) listener_->on_node_crashed();
   }
 
  private:
-  GrantCallback grant_cb_;
+  CsListener* listener_ = nullptr;
 };
 
 }  // namespace dmx::mutex

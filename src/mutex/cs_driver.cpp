@@ -11,7 +11,7 @@ CsDriver::CsDriver(sim::Simulator& sim, MutexAlgorithm& algo,
   if (ids == nullptr) {
     throw std::invalid_argument("CsDriver: null request id source");
   }
-  algo_.set_grant_callback([this](const CsRequest& r) { on_grant(r); });
+  algo_.set_listener(this);
 }
 
 void CsDriver::submit(int priority) {

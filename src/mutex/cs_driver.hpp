@@ -27,7 +27,7 @@ struct RequestIdSource {
   std::uint64_t operator()() { return next++; }
 };
 
-class CsDriver {
+class CsDriver final : private CsListener {
  public:
   /// Called after each completed critical section (harness progress hook).
   using CompletionCallback = std::function<void(const CsRequest&)>;
@@ -56,10 +56,6 @@ class CsDriver {
   /// New critical-section demand arrives (from the workload generator).
   void submit(int priority = 0);
 
-  /// The harness must call this when it crashes the node: the in-progress
-  /// or queued demand of a dead node is void.
-  void on_node_crashed();
-
   // --- metrics ------------------------------------------------------------
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
@@ -82,8 +78,11 @@ class CsDriver {
 
  private:
   void issue(sim::SimTime submitted_at, int priority);
-  void on_grant(const CsRequest& req);
+  void on_grant(const CsRequest& req) override;
   void finish();
+  /// Run by the algorithm from inside Cluster::crash_node: the in-progress
+  /// or queued demand of a dead node is void.
+  void on_node_crashed() override;
 
   void emit(obs::EventKind kind, std::uint64_t req, std::int64_t arg = 0,
             double value = 0.0) const {

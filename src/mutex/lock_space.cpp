@@ -42,9 +42,7 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
   const auto errors = spec_.validate();
   if (!errors.empty()) throw std::invalid_argument(join_errors(errors));
 
-  auto& registry = Registry::instance();
-  clusters_.reserve(spec_.n_resources);
-  drivers_.resize(spec_.n_resources);
+  shards_.reserve(spec_.n_resources);
   pending_.resize(spec_.n_resources);
   span_collectors_.resize(spec_.n_resources);
   for (std::size_t r = 0; r < spec_.n_resources; ++r) {
@@ -57,31 +55,21 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
       tracer = obs::Tracer(spec_.trace_sink);
     }
 
-    clusters_.push_back(std::make_unique<runtime::Cluster>(
-        sim_, spec_.n_nodes,
+    shards_.push_back(std::make_unique<MutexCluster>(
+        sim_, ids_, spec_.algorithm, spec_.n_nodes, spec_.params,
+        sim::SimTime::units(spec_.t_exec),
         std::make_unique<net::ConstantDelay>(sim::SimTime::units(spec_.t_msg)),
         spec_.seed * 7919 + r, tracer));
-    monitors_.push_back(std::make_unique<SafetyMonitor>());
     pending_[r].resize(spec_.n_nodes);
     for (std::size_t i = 0; i < spec_.n_nodes; ++i) {
-      const net::NodeId nid{static_cast<std::int32_t>(i)};
-      FactoryContext ctx{nid, spec_.n_nodes, spec_.params};
-      auto algo = registry.create(spec_.algorithm, ctx);
-      auto* algo_raw = algo.get();
-      clusters_[r]->install(nid, std::move(algo));
-      auto driver = std::make_unique<CsDriver>(
-          sim_, *dynamic_cast<MutexAlgorithm*>(algo_raw),
-          sim::SimTime::units(spec_.t_exec), monitors_[r].get(), &ids_);
-      driver->set_tracer(tracer);
-      driver->set_grant_callback([this, r, i](const CsRequest&) {
+      CsDriver& driver = shards_[r]->driver(i);
+      driver.set_grant_callback([this, r, i](const CsRequest&) {
         on_driver_granted(r, i);
       });
-      driver->set_completion_callback([this, r, i](const CsRequest&) {
+      driver.set_completion_callback([this, r, i](const CsRequest&) {
         on_driver_released(r, i);
       });
-      drivers_[r].push_back(std::move(driver));
     }
-    clusters_[r]->start();
   }
   if (spec_.batch_size > 0) batch_buffer_.reserve(spec_.batch_size);
 }
@@ -123,7 +111,7 @@ void LockSpace::flush() {
 }
 
 void LockSpace::submit_now(const LockDemand& d) {
-  drivers_[d.resource][d.node]->submit(d.priority);
+  shards_[d.resource]->driver(d.node).submit(d.priority);
 }
 
 void LockSpace::on_driver_granted(std::size_t resource, std::size_t node) {
@@ -146,53 +134,50 @@ void LockSpace::on_driver_released(std::size_t resource, std::size_t node) {
 
 std::uint64_t LockSpace::safety_violations() const {
   std::uint64_t v = 0;
-  for (const auto& m : monitors_) v += m->violations();
+  for (const auto& shard : shards_) v += shard->monitor().violations();
   return v;
 }
 
 std::uint64_t LockSpace::total_completed() const {
   std::uint64_t c = 0;
-  for (const auto& per_resource : drivers_) {
-    for (const auto& d : per_resource) c += d->completed();
-  }
+  for (const auto& shard : shards_) c += shard->total_completed();
   return c;
 }
 
 std::uint64_t LockSpace::total_submitted() const {
   std::uint64_t c = batch_buffer_.size();  // ticketed, not yet flushed
-  for (const auto& per_resource : drivers_) {
-    for (const auto& d : per_resource) c += d->submitted();
-  }
+  for (const auto& shard : shards_) c += shard->total_submitted();
   return c;
 }
 
 std::uint64_t LockSpace::completed(std::size_t resource) const {
-  std::uint64_t c = 0;
-  for (const auto& d : drivers_[resource]) c += d->completed();
-  return c;
+  return shards_[resource]->total_completed();
 }
 
 std::uint64_t LockSpace::messages(std::size_t resource) const {
-  return clusters_[resource]->network().stats().sent;
+  return shards_[resource]->network().stats().sent;
 }
 
 std::uint64_t LockSpace::total_messages() const {
   std::uint64_t m = 0;
-  for (const auto& c : clusters_) m += c->network().stats().sent;
+  for (const auto& shard : shards_) m += shard->network().stats().sent;
   return m;
 }
 
 stats::Welford LockSpace::sojourn(std::size_t resource) const {
   stats::Welford w;
-  for (const auto& d : drivers_[resource]) w.merge(d->sojourn_time());
+  for (const CsDriver* d : shards_[resource]->drivers()) {
+    w.merge(d->sojourn_time());
+  }
   return w;
 }
 
 std::vector<std::uint64_t> LockSpace::completions_per_node(
     std::size_t resource) const {
   std::vector<std::uint64_t> out;
-  out.reserve(drivers_[resource].size());
-  for (const auto& d : drivers_[resource]) out.push_back(d->completed());
+  for (const CsDriver* d : shards_[resource]->drivers()) {
+    out.push_back(d->completed());
+  }
   return out;
 }
 

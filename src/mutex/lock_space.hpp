@@ -34,12 +34,11 @@
 #include <vector>
 
 #include "mutex/api.hpp"
-#include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/params.hpp"
 #include "mutex/safety_monitor.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
-#include "runtime/cluster.hpp"
 #include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 
@@ -118,7 +117,7 @@ class LockSpace {
 
   /// Per-resource exclusivity monitor.
   [[nodiscard]] const SafetyMonitor& monitor(std::size_t resource) const {
-    return *monitors_[resource];
+    return shards_[resource]->monitor();
   }
   [[nodiscard]] std::uint64_t safety_violations() const;
 
@@ -155,12 +154,11 @@ class LockSpace {
 
   LockSpaceSpec spec_;
   sim::Simulator sim_;
-  std::vector<std::unique_ptr<runtime::Cluster>> clusters_;   // per resource
-  std::vector<std::unique_ptr<SafetyMonitor>> monitors_;      // per resource
-  std::vector<std::shared_ptr<obs::SpanCollector>> span_collectors_;
+  // One id source across resources: request ids (and so every trace and
+  // span) stay unique over the whole space.
   RequestIdSource ids_;
-  // drivers_[resource][node]
-  std::vector<std::vector<std::unique_ptr<CsDriver>>> drivers_;
+  std::vector<std::unique_ptr<MutexCluster>> shards_;  // per resource
+  std::vector<std::shared_ptr<obs::SpanCollector>> span_collectors_;
   // FIFO ticket ledger per (resource, node): CsDriver queues demand FIFO
   // with at most one CS in flight, so the front ticket is always the one
   // being granted / released.  Popped on release.

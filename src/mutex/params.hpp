@@ -62,6 +62,9 @@ class ParamSet {
   [[nodiscard]] const std::map<std::string, double>& nums() const {
     return nums_;
   }
+  [[nodiscard]] const std::map<std::string, std::string>& strs() const {
+    return strs_;
+  }
 
  private:
   std::map<std::string, double> nums_;

@@ -1,6 +1,7 @@
 #include "obs/sinks.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/json.hpp"
 
@@ -245,6 +246,15 @@ void ChromeTraceSink::flush_buffer() {
 }
 
 // ---------------------------------------------------------------- factory
+
+TraceFormat parse_trace_format(const std::string& flag,
+                               const std::string& value) {
+  if (value == "jsonl") return TraceFormat::kJsonl;
+  if (value == "chrome") return TraceFormat::kChrome;
+  if (value == "text") return TraceFormat::kText;
+  throw std::invalid_argument("bad value for " + flag + ": '" + value +
+                              "' (expected jsonl, chrome or text)");
+}
 
 std::shared_ptr<Sink> make_format_sink(TraceFormat format, std::ostream& os) {
   switch (format) {

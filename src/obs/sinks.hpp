@@ -149,6 +149,12 @@ class TeeSink final : public Sink {
 /// Serialization format for --trace-out.
 enum class TraceFormat { kText, kJsonl, kChrome };
 
+/// The one parser of --trace-format values, shared by every dmx_* tool:
+/// "jsonl", "chrome" or "text".  Throws std::invalid_argument naming `flag`
+/// and `value` on anything else.
+TraceFormat parse_trace_format(const std::string& flag,
+                               const std::string& value);
+
 /// Build the file sink for a format.  The caller owns the stream and must
 /// keep it alive until the sink is destroyed (the Chrome sink writes its
 /// closing bracket from the destructor).

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "harness/cli.hpp"
 #include "verify/choice.hpp"
 #include "verify/world.hpp"
 
@@ -54,6 +55,9 @@ std::string Counterexample::to_string() const {
   out += "depth " + std::to_string(config.max_depth) + "\n";
   for (const auto& [key, value] : config.params.nums()) {
     out += "param " + key + " " + fmt_double(value) + "\n";
+  }
+  for (const auto& [key, value] : config.params.strs()) {
+    out += "param " + key + " " + value + "\n";
   }
   if (!config.fault_plan.empty()) {
     out += "fault " + config.fault_plan + "\n";
@@ -121,8 +125,8 @@ Counterexample Counterexample::parse(std::string_view text) {
       if (sep == std::string::npos) {
         throw std::invalid_argument("dmx.cex: param needs key value: " + line);
       }
-      cex.config.params.set(rest.substr(0, sep),
-                            parse_double(rest.substr(sep + 1), line));
+      harness::set_param(cex.config.params, rest.substr(0, sep),
+                         rest.substr(sep + 1));
     } else if (kw == "fault") {
       cex.config.fault_plan = rest;
     } else if (kw == "violation") {

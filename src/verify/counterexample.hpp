@@ -21,6 +21,7 @@
 //   fifo 1
 //   depth 48
 //   param recovery 1            (repeatable)
+//   param order priority        (a value that is not a number is a string)
 //   fault t=0 crash 1           (optional, FaultPlan spec)
 //   violation mutual-exclusion  (optional, informational)
 //   choice d 1>0 REQUEST #0     (ordered)

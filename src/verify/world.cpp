@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "mutex/registry.hpp"
 #include "net/delay_model.hpp"
 #include "obs/tracer.hpp"
 
@@ -25,6 +24,16 @@ std::string groups_key(const std::vector<std::vector<int>>& groups) {
   return out;
 }
 
+// Reliable worlds keep the transport's timer schedule seed-free.
+std::optional<net::ReliableTransportConfig> reliable_transport(
+    const VerifyConfig& cfg) {
+  if (!cfg.reliable) return std::nullopt;
+  auto tc =
+      net::ReliableTransportConfig::scaled_to(sim::SimTime::units(cfg.t_msg));
+  tc.jitter_frac = 0.0;
+  return tc;
+}
+
 // Whether lose-next action `act` may drop fire choice `f`.
 bool drops(const fault::FaultAction& act, const Choice& f) {
   if (f.klass != sim::EventClass::kDelivery) return false;
@@ -41,46 +50,24 @@ World::World(const VerifyConfig& cfg, std::shared_ptr<obs::Sink> sink)
 
 World::World(const VerifyConfig& cfg, std::vector<fault::FaultAction> actions,
              std::shared_ptr<obs::Sink> sink)
-    : cfg_(cfg), actions_(std::move(actions)) {
-  cluster_ = std::make_unique<runtime::Cluster>(
-      cfg_.n_nodes,
-      std::make_unique<net::ConstantDelay>(sim::SimTime::units(cfg_.t_msg)),
-      /*seed=*/1, sink ? obs::Tracer(std::move(sink)) : obs::Tracer());
-  cluster_->network().set_tap([this](const net::Envelope& env, bool dropped) {
+    : cfg_(cfg),
+      mc_(cfg.algorithm, cfg.n_nodes, cfg.params,
+          sim::SimTime::units(cfg.t_exec),
+          std::make_unique<net::ConstantDelay>(sim::SimTime::units(cfg.t_msg)),
+          /*seed=*/1, sink ? obs::Tracer(std::move(sink)) : obs::Tracer(),
+          reliable_transport(cfg)),
+      actions_(std::move(actions)) {
+  // Starting the cluster sent nothing, so the tap sees every transmission.
+  mc_.network().set_tap([this](const net::Envelope& env, bool dropped) {
     // Sends adjudicated dead on the spot (destination already down) never
     // become pending events, so only surviving transmissions need identity.
     if (!dropped) record_send(env);
   });
-  if (cfg_.reliable) {
-    auto tc = net::ReliableTransportConfig::scaled_to(
-        sim::SimTime::units(cfg_.t_msg));
-    tc.jitter_frac = 0.0;  // keep the timer schedule seed-free
-    cluster_->use_reliable_transport(tc);
-  }
   action_done_.assign(actions_.size(), 0);
-
-  algos_.reserve(cfg_.n_nodes);
-  drivers_.reserve(cfg_.n_nodes);
-  for (std::size_t i = 0; i < cfg_.n_nodes; ++i) {
-    const net::NodeId id{static_cast<std::int32_t>(i)};
-    std::unique_ptr<mutex::MutexAlgorithm> algo =
-        mutex::Registry::instance().create(
-            cfg_.algorithm,
-            mutex::FactoryContext{id, cfg_.n_nodes, cfg_.params});
-    mutex::MutexAlgorithm* raw = algo.get();
-    auto driver = std::make_unique<mutex::CsDriver>(
-        cluster_->simulator(), *raw, sim::SimTime::units(cfg_.t_exec),
-        &monitor_, &ids_);
-    driver->set_tracer(cluster_->tracer());
-    cluster_->install(id, std::move(algo));
-    algos_.push_back(raw);
-    drivers_.push_back(std::move(driver));
-  }
-  cluster_->start();
   // The whole closed-system demand, round-robin at t=0: surplus beyond one
   // outstanding request per node queues inside the drivers.
   for (std::uint64_t r = 0; r < cfg_.requests_per_node; ++r) {
-    for (auto& d : drivers_) d->submit();
+    for (std::size_t i = 0; i < mc_.size(); ++i) mc_.driver(i).submit();
   }
 }
 
@@ -104,7 +91,7 @@ void World::record_send(const net::Envelope& env) {
 // true to stop the walk.
 template <typename Visit>
 void World::visit_fires(Visit&& visit) {
-  cluster_->simulator().collect_pending(pending_);
+  mc_.simulator().collect_pending(pending_);
   const bool bounded = cfg_.time_slack >= 0.0;
   sim::SimTime horizon;
   if (!pending_.empty()) {
@@ -176,19 +163,19 @@ Choice World::fire_choice(const sim::PendingEvent& ev, const MsgInfo* info) {
 // where it applies (its t= is ignored — timing is the explorer's job).
 // lose-next (the only other verb the config validator admits) applies per
 // delivery instead: see drops().
-bool World::fault_applies(const fault::FaultAction& act) const {
+bool World::fault_applies(const fault::FaultAction& act) {
   switch (act.kind) {
     case fault::FaultAction::Kind::kCrash:
-      return !algos_[static_cast<std::size_t>(act.node)]->crashed();
+      return !mc_.algorithm(static_cast<std::size_t>(act.node)).crashed();
     case fault::FaultAction::Kind::kRestart:
-      return algos_[static_cast<std::size_t>(act.node)]->crashed();
+      return mc_.algorithm(static_cast<std::size_t>(act.node)).crashed();
     case fault::FaultAction::Kind::kPartition:
       // A cut is a real scheduling alternative at any un-partitioned state;
       // in-flight messages keep their delivery events (a cut severs links,
       // not packets already in the air).
-      return !cluster_->network().faults().partitioned();
+      return !mc_.network().faults().partitioned();
     case fault::FaultAction::Kind::kHeal:
-      return cluster_->network().faults().partitioned();
+      return mc_.network().faults().partitioned();
     default:
       return false;
   }
@@ -298,24 +285,23 @@ void World::replay(const Choice& c) {
 void World::apply(const Choice& c) {
   switch (c.kind) {
     case Choice::Kind::kFire:
-      if (!cluster_->simulator().fire(c.event)) {
+      if (!mc_.simulator().fire(c.event)) {
         throw std::logic_error("verify: fire() on an event no longer pending");
       }
       break;
     case Choice::Kind::kDrop:
-      if (!cluster_->simulator().cancel(c.event)) {
+      if (!mc_.simulator().cancel(c.event)) {
         throw std::logic_error("verify: drop of an event no longer pending");
       }
-      ++cluster_->network().mutable_stats().dropped;
+      ++mc_.network().mutable_stats().dropped;
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     case Choice::Kind::kCrash:
-      cluster_->crash_node(net::NodeId{c.node});
-      drivers_[static_cast<std::size_t>(c.node)]->on_node_crashed();
+      mc_.cluster().crash_node(net::NodeId{c.node});
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     case Choice::Kind::kRestart:
-      cluster_->restart_node(net::NodeId{c.node});
+      mc_.cluster().restart_node(net::NodeId{c.node});
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     case Choice::Kind::kPartition: {
@@ -328,12 +314,12 @@ void World::apply(const Choice& c) {
         g.reserve(group.size());
         for (int n : group) g.push_back(net::NodeId{n});
       }
-      cluster_->network().faults().set_partition(std::move(groups));
+      mc_.network().faults().set_partition(std::move(groups));
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
     }
     case Choice::Kind::kHeal:
-      cluster_->network().faults().heal_partition();
+      mc_.network().faults().heal_partition();
       action_done_[static_cast<std::size_t>(c.action)] = 1;
       break;
   }
@@ -341,19 +327,20 @@ void World::apply(const Choice& c) {
 }
 
 std::optional<mutex::Violation> World::check() {
-  const std::vector<mutex::Violation>& reports = monitor_.reports();
+  const std::vector<mutex::Violation>& reports = mc_.monitor().reports();
   if (consumed_reports_ < reports.size()) {
     return reports[consumed_reports_++];
   }
   std::vector<net::NodeId> holders;
-  for (const mutex::MutexAlgorithm* algo : algos_) {
-    if (algo->crashed()) continue;
-    if (algo->holds_token().value_or(false)) holders.push_back(algo->id());
+  for (std::size_t i = 0; i < mc_.size(); ++i) {
+    const mutex::MutexAlgorithm& algo = mc_.algorithm(i);
+    if (algo.crashed()) continue;
+    if (algo.holds_token().value_or(false)) holders.push_back(algo.id());
   }
   if (holders.size() > 1) {
     mutex::Violation v;
     v.kind = mutex::Violation::Kind::kTokenDuplicated;
-    v.time = cluster_->simulator().now();
+    v.time = mc_.simulator().now();
     v.nodes = std::move(holders);
     v.detail = std::to_string(v.nodes.size()) +
                " live nodes hold the token simultaneously";
@@ -361,7 +348,7 @@ std::optional<mutex::Violation> World::check() {
     // split-brain signature) from a plain duplication bug (same epoch).
     std::string epochs;
     for (const net::NodeId h : v.nodes) {
-      const auto e = algos_[static_cast<std::size_t>(h.index())]->token_epoch();
+      const auto e = mc_.algorithm(h.index()).token_epoch();
       if (!e.has_value()) continue;
       if (!epochs.empty()) epochs += ", ";
       epochs +=
@@ -375,23 +362,23 @@ std::optional<mutex::Violation> World::check() {
 
 std::optional<mutex::Violation> World::terminal_check() {
   std::vector<net::NodeId> starving;
-  for (std::size_t i = 0; i < algos_.size(); ++i) {
-    if (!drivers_[i]->idle() && !algos_[i]->crashed()) {
-      starving.push_back(algos_[i]->id());
+  for (std::size_t i = 0; i < mc_.size(); ++i) {
+    if (!mc_.driver(i).idle() && !mc_.algorithm(i).crashed()) {
+      starving.push_back(mc_.algorithm(i).id());
     }
   }
   if (starving.empty()) return std::nullopt;
   mutex::Violation v;
   v.kind = mutex::Violation::Kind::kStarvation;
-  v.time = cluster_->simulator().now();
+  v.time = mc_.simulator().now();
   v.nodes = std::move(starving);
   v.detail = "pending live demand with no enabled transition left";
   return v;
 }
 
 bool World::quiescent() const {
-  for (const auto& d : drivers_) {
-    if (!d->idle()) return false;
+  for (std::size_t i = 0; i < mc_.size(); ++i) {
+    if (!mc_.driver(i).idle()) return false;
   }
   for (const char done : action_done_) {
     if (done == 0) return false;
@@ -401,19 +388,16 @@ bool World::quiescent() const {
 
 std::string World::debug_dump() const {
   std::string out;
-  for (std::size_t i = 0; i < algos_.size(); ++i) {
+  for (std::size_t i = 0; i < mc_.size(); ++i) {
+    const mutex::MutexAlgorithm& algo = mc_.algorithm(i);
     out += "  node " + std::to_string(i) + ": ";
-    out += algos_[i]->crashed() ? "CRASHED" : algos_[i]->debug_state();
-    if (!drivers_[i]->idle()) out += " [demand pending]";
+    out += algo.crashed() ? "CRASHED" : algo.debug_state();
+    if (!mc_.driver(i).idle()) out += " [demand pending]";
     out += "\n";
   }
   return out;
 }
 
-std::uint64_t World::completed() const {
-  std::uint64_t total = 0;
-  for (const auto& d : drivers_) total += d->completed();
-  return total;
-}
+std::uint64_t World::completed() const { return mc_.total_completed(); }
 
 }  // namespace dmx::verify

@@ -1,13 +1,13 @@
 // One controlled execution of a verification world.
 //
-// A World wires the ordinary production stack — Cluster, Network, the
-// algorithm under test, CsDrivers, SafetyMonitor — but never calls
-// Simulator::run().  Instead the explorer (or a counterexample replay)
-// pulls the enabled choice set, picks one, applies it, and asks the world
-// whether an invariant just broke.  All demand is submitted at t=0, so the
-// world is a closed system whose only nondeterminism is the choice
-// sequence: identical sequences produce identical executions, down to the
-// simulator's event handles and times.  That is what lets the explorer
+// A World stands up the ordinary production stack — a mutex::MutexCluster
+// of the algorithm under test: Cluster, Network, CsDrivers, SafetyMonitor —
+// but never calls Simulator::run().  Instead the explorer (or a
+// counterexample replay) pulls the enabled choice set, picks one, applies
+// it, and asks the world whether an invariant just broke.  All demand is
+// submitted at t=0, so the world is a closed system whose only
+// nondeterminism is the choice sequence: identical sequences produce
+// identical executions, down to the simulator's event handles and times.  That is what lets the explorer
 // replay a stored choice prefix in a fresh World (replay()) and makes
 // counterexample traces byte-identical.
 #pragma once
@@ -21,11 +21,9 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/violation.hpp"
 #include "obs/sink.hpp"
-#include "runtime/cluster.hpp"
 #include "verify/choice.hpp"
 #include "verify/config.hpp"
 
@@ -80,7 +78,7 @@ class World {
   /// Per-node protocol + driver state, one line per node (diagnostics).
   [[nodiscard]] std::string debug_dump() const;
 
-  [[nodiscard]] sim::Simulator& simulator() { return cluster_->simulator(); }
+  [[nodiscard]] sim::Simulator& simulator() { return mc_.simulator(); }
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
   [[nodiscard]] std::uint64_t completed() const;
 
@@ -103,15 +101,11 @@ class World {
   void visit_fires(Visit&& visit);
   [[nodiscard]] static Choice fire_choice(const sim::PendingEvent& ev,
                                           const MsgInfo* info);
-  [[nodiscard]] bool fault_applies(const fault::FaultAction& act) const;
+  [[nodiscard]] bool fault_applies(const fault::FaultAction& act);
   [[nodiscard]] Choice fault_choice(std::size_t action) const;
 
   const VerifyConfig& cfg_;
-  mutex::RequestIdSource ids_;
-  mutex::SafetyMonitor monitor_{mutex::SafetyMonitor::Policy::kCollect};
-  std::unique_ptr<runtime::Cluster> cluster_;
-  std::vector<mutex::MutexAlgorithm*> algos_;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers_;
+  mutex::MutexCluster mc_;
   std::vector<fault::FaultAction> actions_;
   std::vector<char> action_done_;
   std::vector<MsgInfo> msg_info_;  ///< By msg_id (dense from 1).

@@ -28,10 +28,10 @@ TEST(ArbiterProtocol, PaperSection22Example) {
   tb.submit_at(0.0, 1);   // REQUEST arrives at the arbiter at t=1.0
   tb.submit_at(0.2, 4);   // arrives t=1.2, same collection window
   tb.submit_at(1.9, 3);   // arrives t=2.9, during the forwarding phase
-  tb.sim().run();
+  tb.simulator().run();
 
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 
   const auto stats = tb.protocol_stats();
   EXPECT_EQ(stats.requests_forwarded, 1u);
@@ -57,7 +57,7 @@ TEST(ArbiterProtocol, ArbiterSelfRequestCostsZeroMessages) {
   // Eq. (1)'s 1/N case: the requester is the arbiter itself.
   MutexCluster tb("arbiter-tp", 5, unit_params(), 1.0, 1.0);
   tb.submit_at(0.5, 0);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 0u);
   EXPECT_TRUE(tb.arbiter(0).is_arbiter());
@@ -68,7 +68,7 @@ TEST(ArbiterProtocol, SingleRemoteRequestCostsNPlusOneMessages) {
   // Eq. (1)'s other case: 1 REQUEST + (N-1) NEW-ARBITER + 1 PRIVILEGE.
   MutexCluster tb("arbiter-tp", 5, unit_params(), 1.0, 1.0);
   tb.submit_at(0.0, 2);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 6u);  // N + 1 for N = 5
   // The sole requester is the new arbiter and ends up holding the token.
@@ -86,12 +86,12 @@ TEST(ArbiterProtocol, CollectionWindowBatchesFcfs) {
   tb.submit_at(0.6, 2);
   std::vector<int> completion_order;
   for (std::size_t i = 0; i < 5; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&completion_order, i](const mutex::CsRequest&) {
           completion_order.push_back(static_cast<int>(i));
         });
   }
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.protocol_stats().dispatches, 1u);
   EXPECT_EQ(completion_order, (std::vector<int>{3, 1, 2}));
 }
@@ -105,14 +105,14 @@ TEST(ArbiterProtocol, PriorityOrderingWithinBatch) {
   tb.submit_at(0.6, 3, /*priority=*/3);
   std::vector<int> completion_order;
   for (std::size_t i = 0; i < 5; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&completion_order, i](const mutex::CsRequest&) {
           completion_order.push_back(static_cast<int>(i));
         });
   }
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(completion_order, (std::vector<int>{2, 3, 1}));
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(ArbiterProtocol, DroppedRequestIsResubmittedViaNewArbiterMiss) {
@@ -229,19 +229,19 @@ TEST(ArbiterProtocol, FcfsOrderWithinBatchPreserved) {
   tb.submit_at(0.2, 3);
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
   }
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(ArbiterProtocol, TraceRecordsProtocolEvents) {
   MutexCluster tb("arbiter-tp", 5, unit_params(), 1.0, 1.0);
   tb.submit_at(0.0, 2);
-  tb.sim().run();
+  tb.simulator().run();
   // The kinds the walk-through must hit, including both kinds registered
   // under the "arbiter" category: the initial arbiter and the hand-over.
   EXPECT_GE(tb.sink->count_kind(core::kEvArbiterInit), 1u);

@@ -22,7 +22,7 @@ mutex::ParamSet no_params() { return mutex::ParamSet{}; }
 TEST(Centralized, ExactlyThreeMessagesPerRemoteCs) {
   MutexCluster tb("centralized", 4, no_params());
   tb.submit_at(0.0, 2);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 3u);  // C-REQUEST, C-GRANT, C-RELEASE
 }
@@ -30,7 +30,7 @@ TEST(Centralized, ExactlyThreeMessagesPerRemoteCs) {
 TEST(Centralized, CoordinatorSelfRequestIsFree) {
   MutexCluster tb("centralized", 4, no_params());
   tb.submit_at(0.0, 0);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 0u);
 }
@@ -39,7 +39,7 @@ TEST(Centralized, FcfsAcrossNodes) {
   MutexCluster tb("centralized", 4, no_params());
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
@@ -47,7 +47,7 @@ TEST(Centralized, FcfsAcrossNodes) {
   tb.submit_at(0.00, 3);
   tb.submit_at(0.01, 1);
   tb.submit_at(0.02, 2);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
 }
 
@@ -56,7 +56,7 @@ TEST(Centralized, FcfsAcrossNodes) {
 TEST(SuzukiKasami, IdleHolderReentersForFree) {
   MutexCluster tb("suzuki-kasami", 5, no_params());
   tb.submit_at(0.0, 0);  // node 0 holds the initial token
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 0u);
 }
@@ -64,11 +64,11 @@ TEST(SuzukiKasami, IdleHolderReentersForFree) {
 TEST(SuzukiKasami, RemoteRequestCostsNMessages) {
   MutexCluster tb("suzuki-kasami", 5, no_params());
   tb.submit_at(0.0, 3);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   // N-1 broadcast REQUESTs + 1 token.
   EXPECT_EQ(tb.network().stats().sent, 5u);
-  auto* sk = dynamic_cast<SuzukiKasamiMutex*>(tb.algos[3]);
+  auto* sk = dynamic_cast<SuzukiKasamiMutex*>(&tb.algorithm(3));
   ASSERT_NE(sk, nullptr);
   EXPECT_TRUE(sk->has_token());  // token stays with the last user
 }
@@ -79,9 +79,9 @@ TEST(SuzukiKasami, OutdatedRequestsIgnored) {
   MutexCluster tb("suzuki-kasami", 3, no_params());
   tb.submit_at(0.0, 1);
   tb.submit_at(5.0, 1);
-  tb.sim().run();
-  EXPECT_EQ(tb.drivers[1]->completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  tb.simulator().run();
+  EXPECT_EQ(tb.driver(1).completed(), 2u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 // --- Raymond ----------------------------------------------------------------
@@ -91,12 +91,12 @@ TEST(Raymond, TokenMovesAlongTreeEdgesOnly) {
   // Node 6 is a leaf (parent 2, grandparent 0).  Its request must pull the
   // token down the path 0 -> 2 -> 6: 2 REQUEST hops + 2 PRIVILEGE hops.
   tb.submit_at(0.0, 6);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   const auto by_type = tb.network().stats().sent_by_type();
   EXPECT_EQ(by_type.get("RY-REQUEST"), 2u);
   EXPECT_EQ(by_type.get("RY-PRIVILEGE"), 2u);
-  auto* leaf = dynamic_cast<RaymondMutex*>(tb.algos[6]);
+  auto* leaf = dynamic_cast<RaymondMutex*>(&tb.algorithm(6));
   ASSERT_NE(leaf, nullptr);
   EXPECT_TRUE(leaf->holds_token().value_or(false));
 }
@@ -104,7 +104,7 @@ TEST(Raymond, TokenMovesAlongTreeEdgesOnly) {
 TEST(Raymond, RootSelfRequestIsFree) {
   MutexCluster tb("raymond", 7, no_params());
   tb.submit_at(0.0, 0);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 0u);
 }
@@ -126,7 +126,7 @@ TEST(Raymond, HighLoadApproachesFourMessages) {
 TEST(PathReversal, RootSelfRequestIsFree) {
   MutexCluster tb("path-reversal", 5, no_params());
   tb.submit_at(0.0, 0);  // node 0 starts as root holding the token
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 0u);
 }
@@ -134,12 +134,12 @@ TEST(PathReversal, RootSelfRequestIsFree) {
 TEST(PathReversal, FirstRemoteRequestIsTwoMessages) {
   MutexCluster tb("path-reversal", 5, no_params());
   tb.submit_at(0.0, 3);  // everyone initially points straight at node 0
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   const auto by_type = tb.network().stats().sent_by_type();
   EXPECT_EQ(by_type.get("PR-REQUEST"), 1u);
   EXPECT_EQ(by_type.get("PR-TOKEN"), 1u);
-  auto* requester = dynamic_cast<PathReversalMutex*>(tb.algos[3]);
+  auto* requester = dynamic_cast<PathReversalMutex*>(&tb.algorithm(3));
   ASSERT_NE(requester, nullptr);
   EXPECT_TRUE(requester->is_root());
   EXPECT_TRUE(requester->holds_token().value_or(false));
@@ -159,12 +159,12 @@ TEST(PathReversal, PathReversalCollapsesTheChain) {
   tb.submit_at(1.0, 2);
   tb.submit_at(2.0, 3);
   tb.submit_at(3.0, 0);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 4u);
   const auto by_type = tb.network().stats().sent_by_type();
   EXPECT_EQ(by_type.get("PR-REQUEST"), 6u);
   EXPECT_EQ(by_type.get("PR-TOKEN"), 4u);
-  auto* last = dynamic_cast<PathReversalMutex*>(tb.algos[0]);
+  auto* last = dynamic_cast<PathReversalMutex*>(&tb.algorithm(0));
   ASSERT_NE(last, nullptr);
   EXPECT_TRUE(last->is_root());
   EXPECT_TRUE(last->holds_token().value_or(false));
@@ -178,7 +178,7 @@ TEST(PathReversal, ConcurrentRequestersChainViaNext) {
   tb.submit_at(0.0, 1);
   tb.submit_at(0.0, 2);
   tb.submit_at(0.0, 3);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 3u);
   EXPECT_EQ(tb.network().stats().sent_by_type().get("PR-TOKEN"), 3u);
 }
@@ -232,7 +232,7 @@ TEST(Maekawa, QuorumSizeIsOrderSqrtN) {
 TEST(Maekawa, UncontendedCostIsThreeRoundsOverQuorum) {
   MutexCluster tb("maekawa", 9, no_params());
   tb.submit_at(0.0, 4);  // quorum of 4 in a 3x3 grid: {3,4,5} ∪ {1,4,7}
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   // 4 remote members: REQUEST+LOCKED+RELEASE each (self-votes are free).
   EXPECT_EQ(tb.network().stats().sent, 12u);
@@ -247,9 +247,9 @@ TEST(Maekawa, HighContentionStormsResolve) {
       tb.submit_at(0.01 * static_cast<double>(i % 3), i);
     }
   }
-  tb.sim().run_until(sim::SimTime::units(2'000.0));
+  tb.simulator().run_until(sim::SimTime::units(2'000.0));
   EXPECT_EQ(tb.total_completed(), 180u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 // --- Singhal dynamic ----------------------------------------------------------
@@ -257,7 +257,7 @@ TEST(Maekawa, HighContentionStormsResolve) {
 TEST(Singhal, StaircaseInitialization) {
   MutexCluster tb("singhal", 6, no_params());
   for (std::size_t i = 0; i < 6; ++i) {
-    auto* s = dynamic_cast<SinghalDynamicMutex*>(tb.algos[i]);
+    auto* s = dynamic_cast<SinghalDynamicMutex*>(&tb.algorithm(i));
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->request_set_size(), i) << "node " << i;
   }
@@ -266,7 +266,7 @@ TEST(Singhal, StaircaseInitialization) {
 TEST(Singhal, LowestNodeEntersFreeWhenColdAndIdle) {
   MutexCluster tb("singhal", 6, no_params());
   tb.submit_at(0.0, 0);  // empty request set: enters immediately
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 0u);
 }
@@ -287,9 +287,9 @@ TEST(Singhal, RequestSetsShrinkAtLowLoad) {
 TEST(Singhal, ConcurrentColdStartIsSafe) {
   MutexCluster tb("singhal", 6, no_params());
   for (std::size_t i = 0; i < 6; ++i) tb.submit_at(0.0, i);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 6u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 // --- Lamport & Ricart–Agrawala ordering ---------------------------------------
@@ -298,14 +298,14 @@ TEST(Lamport, TimestampOrderRespected) {
   MutexCluster tb("lamport", 4, no_params());
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
   }
   tb.submit_at(0.0, 2);
   tb.submit_at(1.0, 1);  // strictly later timestamp
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
@@ -313,21 +313,21 @@ TEST(RicartAgrawala, SimultaneousRequestsTieBreakByNodeId) {
   MutexCluster tb("ricart-agrawala", 4, no_params());
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
   }
   tb.submit_at(0.0, 3);
   tb.submit_at(0.0, 1);  // identical clocks: lower id wins
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(RicartAgrawala, SingleNodeClusterDegenerate) {
   MutexCluster tb("ricart-agrawala", 1, no_params());
   tb.submit_at(0.0, 0);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent, 0u);
 }
@@ -356,25 +356,25 @@ TEST(TokenRing, SaturationCostsOneHopPerCs) {
 TEST(TokenRing, ParksAfterQuietRevolutionAndWakes) {
   testbed::MutexCluster tb("token-ring", 5, mutex::ParamSet{});
   tb.submit_at(0.0, 2);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   // The token must end up parked somewhere (the run drained).
   int parked = 0;
-  for (auto* a : tb.algos) {
-    if (dynamic_cast<TokenRingMutex*>(a)->parked()) ++parked;
+  for (std::size_t i = 0; i < tb.size(); ++i) {
+    if (dynamic_cast<TokenRingMutex&>(tb.algorithm(i)).parked()) ++parked;
   }
   EXPECT_EQ(parked, 1);
   // A later request on the far side of the ring wakes it.
   tb.submit_at(100.0, 4);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(TokenRing, HolderOfParkedTokenEntersFree) {
   testbed::MutexCluster tb("token-ring", 5, mutex::ParamSet{});
   tb.submit_at(0.0, 0);  // token starts parked at node 0
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);
   EXPECT_EQ(tb.network().stats().sent_by_type().get("RING-WAKEUP"), 0u);
 }

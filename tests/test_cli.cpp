@@ -1,6 +1,9 @@
 // Tests for the dmx_sweep command-line front end.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "harness/cli.hpp"
@@ -170,6 +173,36 @@ TEST(Cli, RunLockServiceProducesShardTable) {
   EXPECT_NE(out.find("arbiter-tp"), std::string::npos);
   EXPECT_NE(out.find("path-reversal"), std::string::npos);
   EXPECT_EQ(out.find("VIOLATED"), std::string::npos);
+}
+
+TEST(Cli, ParsesTraceFormat) {
+  EXPECT_EQ(parse({}).trace_format, obs::TraceFormat::kJsonl);
+  EXPECT_EQ(parse({"--trace-format", "chrome"}).trace_format,
+            obs::TraceFormat::kChrome);
+  EXPECT_EQ(parse({"--trace-format", "text"}).trace_format,
+            obs::TraceFormat::kText);
+  EXPECT_THROW(parse({"--trace-format", "xml"}), std::invalid_argument);
+}
+
+TEST(Cli, ManifestKeepsStringParams) {
+  // dmx_sweep --n 4 --requests 200 --seeds 1 --param order=priority
+  //   --param t_req=0.2 --emit-json FILE: the string entry is recorded too.
+  const std::filesystem::path manifest =
+      std::filesystem::temp_directory_path() /
+      ("dmx_cli_params_" + std::to_string(::getpid()) + ".json");
+  const CliOptions o = parse({"--n", "4", "--requests", "200", "--seeds", "1",
+                              "--param", "order=priority", "--param",
+                              "t_req=0.2", "--emit-json", manifest.string()});
+  std::ostringstream os;
+  ASSERT_EQ(run_cli(o, os), 0) << os.str();
+  std::ifstream in(manifest);
+  std::ostringstream text;
+  text << in.rdbuf();
+  in.close();
+  std::filesystem::remove(manifest);
+  EXPECT_NE(text.str().find(R"("params":{"t_req":0.2,"order":"priority"})"),
+            std::string::npos)
+      << text.str();
 }
 
 TEST(Cli, RunCsvMode) {

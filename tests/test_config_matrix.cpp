@@ -84,12 +84,14 @@ TEST_P(ChurnMatrix, SurvivesCrashRestartChurn) {
     tb.crash_at(when, victim);
     tb.restart_at(when + 3.0, victim);
   }
-  tb.sim().run_until(sim::SimTime::units(400.0));
+  tb.simulator().run_until(sim::SimTime::units(400.0));
 
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   // Crashed nodes abort their demand; everything else must be served.
   std::uint64_t aborted = 0;
-  for (const auto& d : tb.drivers) aborted += d->aborted_by_crash();
+  for (const mutex::CsDriver* d : tb.drivers()) {
+    aborted += d->aborted_by_crash();
+  }
   EXPECT_EQ(tb.total_completed() + aborted, tb.total_submitted())
       << "completed=" << tb.total_completed() << " aborted=" << aborted
       << " submitted=" << tb.total_submitted();

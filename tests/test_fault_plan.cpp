@@ -302,29 +302,25 @@ mutex::ParamSet recovery_params() {
 TEST(CampaignRunner, ExecutesActionsOnScheduleWithHooksAndLog) {
   testbed::MutexCluster tb("arbiter-tp", 5, recovery_params());
   fault::CampaignRunner campaign(
-      *tb.cluster, FaultPlan::parse("t=1 crash 3; t=4 restart 3"));
-  std::vector<std::string> hook_calls;
-  campaign.set_crash_hook([&](net::NodeId id) {
-    hook_calls.push_back("crash " + std::to_string(id.index()));
-    tb.drivers[id.index()]->on_node_crashed();
-  });
-  campaign.set_restart_hook([&](net::NodeId id) {
-    hook_calls.push_back("restart " + std::to_string(id.index()));
-  });
+      tb.cluster(), FaultPlan::parse("t=1 crash 3; t=4 restart 3"));
+  // Still outstanding at t=1: the crash reaches node 3's driver through its
+  // algorithm and voids the demand, with no hook.
+  tb.submit_at(0.9, 3);
   std::vector<double> observed_at;
   campaign.set_observer([&](sim::SimTime t, const FaultAction&) {
     observed_at.push_back(t.to_units());
   });
   campaign.start();
   EXPECT_EQ(campaign.pending_actions(), 2u);
-  tb.sim().run_until(sim::SimTime::units(2.0));
+  tb.simulator().run_until(sim::SimTime::units(2.0));
   EXPECT_TRUE(tb.network().faults().is_node_down(net::NodeId{3}));
   EXPECT_EQ(campaign.executed(), 1u);
-  tb.sim().run_until(sim::SimTime::units(10.0));
+  tb.simulator().run_until(sim::SimTime::units(10.0));
   EXPECT_FALSE(tb.network().faults().is_node_down(net::NodeId{3}));
   EXPECT_EQ(campaign.executed(), 2u);
   EXPECT_EQ(campaign.pending_actions(), 0u);
-  EXPECT_EQ(hook_calls, (std::vector<std::string>{"crash 3", "restart 3"}));
+  EXPECT_EQ(tb.driver(3).aborted_by_crash(), 1u);
+  EXPECT_EQ(tb.driver(3).completed(), 0u);
   EXPECT_EQ(observed_at, (std::vector<double>{1.0, 4.0}));
   ASSERT_EQ(campaign.log().size(), 2u);
   EXPECT_EQ(campaign.log()[0], "t=1 crash 3");
@@ -334,24 +330,24 @@ TEST(CampaignRunner, ExecutesActionsOnScheduleWithHooksAndLog) {
 TEST(CampaignRunner, ValidatesPlanAgainstClusterAndRegistry) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
   {
-    fault::CampaignRunner bad_node(*tb.cluster,
+    fault::CampaignRunner bad_node(tb.cluster(),
                                    FaultPlan::parse("t=1 crash 7"));
     EXPECT_THROW(bad_node.start(), std::invalid_argument);
   }
   {
     fault::CampaignRunner bad_type(
-        *tb.cluster, FaultPlan::parse("t=1 lose-next NO-SUCH-TYPE"));
+        tb.cluster(), FaultPlan::parse("t=1 lose-next NO-SUCH-TYPE"));
     EXPECT_THROW(bad_type.start(), std::invalid_argument);
   }
   {
-    fault::CampaignRunner bad_group(*tb.cluster,
+    fault::CampaignRunner bad_group(tb.cluster(),
                                     FaultPlan::parse("t=1 partition 0|1,5"));
     EXPECT_THROW(bad_group.start(), std::invalid_argument);
   }
   {
-    tb.sim().schedule_at(sim::SimTime::units(2.0), [] {});
-    tb.sim().run_until(sim::SimTime::units(3.0));
-    fault::CampaignRunner in_past(*tb.cluster,
+    tb.simulator().schedule_at(sim::SimTime::units(2.0), [] {});
+    tb.simulator().run_until(sim::SimTime::units(3.0));
+    fault::CampaignRunner in_past(tb.cluster(),
                                   FaultPlan::parse("t=1 crash 0"));
     EXPECT_THROW(in_past.start(), std::invalid_argument);
   }
@@ -359,11 +355,11 @@ TEST(CampaignRunner, ValidatesPlanAgainstClusterAndRegistry) {
 
 TEST(CampaignRunner, CancelStopsPendingActions) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
-  fault::CampaignRunner campaign(*tb.cluster,
+  fault::CampaignRunner campaign(tb.cluster(),
                                  FaultPlan::parse("t=1 crash 1"));
   campaign.start();
   campaign.cancel();
-  tb.sim().run_until(sim::SimTime::units(5.0));
+  tb.simulator().run_until(sim::SimTime::units(5.0));
   EXPECT_EQ(campaign.executed(), 0u);
   EXPECT_FALSE(tb.network().faults().is_node_down(net::NodeId{1}));
 }
@@ -371,11 +367,11 @@ TEST(CampaignRunner, CancelStopsPendingActions) {
 TEST(CampaignRunner, ReportsUnfiredTargetedDrops) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
   // ENQUIRY is registered but never sent in a healthy idle run.
-  fault::CampaignRunner campaign(*tb.cluster,
+  fault::CampaignRunner campaign(tb.cluster(),
                                  FaultPlan::parse("t=1 lose-next ENQUIRY"));
   campaign.start();
   tb.submit_at(2.0, 1);
-  tb.sim().run_until(sim::SimTime::units(20.0));
+  tb.simulator().run_until(sim::SimTime::units(20.0));
   EXPECT_EQ(campaign.executed(), 1u);
   EXPECT_EQ(campaign.unfired_targeted_drops(), 1u);
   EXPECT_EQ(tb.total_completed(), 1u);
@@ -384,19 +380,19 @@ TEST(CampaignRunner, ReportsUnfiredTargetedDrops) {
 TEST(CampaignRunner, LossWindowRevertsAtUntil) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
   fault::CampaignRunner campaign(
-      *tb.cluster,
+      tb.cluster(),
       FaultPlan::parse("t=1 loss *=0.8 until=5; t=2 loss REQUEST=1 until=6"));
   campaign.start();
   auto& f = tb.network().faults();
   const auto request =
       net::MsgKindRegistry::instance().find("REQUEST");
-  tb.sim().run_until(sim::SimTime::units(3.0));
+  tb.simulator().run_until(sim::SimTime::units(3.0));
   EXPECT_EQ(f.global_loss_probability(), 0.8);
   EXPECT_EQ(f.loss_probability(request), 1.0);  // per-kind overrides global
-  tb.sim().run_until(sim::SimTime::units(5.5));
+  tb.simulator().run_until(sim::SimTime::units(5.5));
   EXPECT_EQ(f.global_loss_probability(), 0.0);  // window closed
   EXPECT_EQ(f.loss_probability(request), 1.0);  // per-kind window still open
-  tb.sim().run_until(sim::SimTime::units(7.0));
+  tb.simulator().run_until(sim::SimTime::units(7.0));
   EXPECT_EQ(f.loss_probability(request), 0.0);  // reverted to global
 }
 
@@ -438,18 +434,18 @@ TEST(ProgressMonitor, HealthyRunNeverStallsAndStopsPolling) {
   testbed::MutexCluster tb("arbiter-tp", 3, recovery_params());
   mutex::ProgressMonitor::Config cfg;
   cfg.stall_threshold = sim::SimTime::units(10.0);
-  mutex::ProgressMonitor monitor(tb.sim(), cfg);
+  mutex::ProgressMonitor monitor(tb.simulator(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.submit_at(0.5, 1);
   tb.submit_at(1.0, 2);
-  tb.sim().run();  // monitor stops polling once quiet: run() terminates
+  tb.simulator().run();  // monitor stops polling once quiet: run() terminates
   EXPECT_FALSE(monitor.stalled());
   EXPECT_GE(monitor.checks_performed(), 1u);
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_LT(tb.sim().now().to_units(), 100.0);
+  EXPECT_LT(tb.simulator().now().to_units(), 100.0);
 }
 
 TEST(ProgressMonitor, CrashedArbiterWithoutRecoveryIsDiagnosed) {
@@ -460,17 +456,17 @@ TEST(ProgressMonitor, CrashedArbiterWithoutRecoveryIsDiagnosed) {
   testbed::MutexCluster tb("arbiter-tp", 3, p);
   mutex::ProgressMonitor::Config cfg;
   cfg.stall_threshold = sim::SimTime::units(8.0);
-  mutex::ProgressMonitor monitor(tb.sim(), cfg);
+  mutex::ProgressMonitor monitor(tb.simulator(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.crash_at(0.05, 0);
   tb.submit_at(0.5, 1);
-  tb.sim().run_until(sim::SimTime::units(1'000.0));
+  tb.simulator().run_until(sim::SimTime::units(1'000.0));
   EXPECT_TRUE(monitor.stalled());
   // The simulator was stopped at the stall, far before the horizon.
-  EXPECT_LT(tb.sim().now().to_units(), 100.0);
+  EXPECT_LT(tb.simulator().now().to_units(), 100.0);
   EXPECT_NE(monitor.diagnosis().find("node 0: CRASHED"), std::string::npos);
   EXPECT_NE(monitor.diagnosis().find("demand-pending"), std::string::npos);
   EXPECT_NE(monitor.diagnosis().find("believes arbiter=0"),
@@ -487,14 +483,14 @@ TEST(ProgressMonitor, DryEventQueueWithDemandIsAnImmediateStall) {
   mutex::ProgressMonitor::Config cfg;
   cfg.stall_threshold = sim::SimTime::units(1'000.0);
   cfg.check_interval = sim::SimTime::units(5.0);
-  mutex::ProgressMonitor monitor(tb.sim(), cfg);
+  mutex::ProgressMonitor monitor(tb.simulator(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.crash_at(0.05, 0);  // the coordinator
   tb.submit_at(1.0, 2);
-  tb.sim().run_until(sim::SimTime::units(10'000.0));
+  tb.simulator().run_until(sim::SimTime::units(10'000.0));
   EXPECT_TRUE(monitor.stalled());
   // Declared at a poll tick, orders of magnitude before the threshold.
   EXPECT_LT(monitor.stall_time().to_units(), 100.0);

@@ -24,9 +24,9 @@ std::string run_paper_example_trace() {
   tb.submit_at(0.0, 1);
   tb.submit_at(0.2, 4);
   tb.submit_at(1.9, 3);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   return os.str();
 }
 
@@ -72,9 +72,9 @@ std::string run_path_reversal_trace() {
   tb.submit_at(0.0, 1);
   tb.submit_at(0.5, 2);
   tb.submit_at(6.0, 3);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   return os.str();
 }
 
@@ -120,17 +120,15 @@ std::string run_fault_campaign_trace() {
        << env.payload->describe() << (dropped ? " DROPPED" : "") << "\n";
   });
   fault::CampaignRunner campaign(
-      *tb.cluster,
+      tb.cluster(),
       fault::FaultPlan::parse(
           "t=0.25 lose-next PRIVILEGE; t=1.5 crash 3; t=5 restart 3"));
-  campaign.set_crash_hook(
-      [&tb](net::NodeId id) { tb.drivers[id.index()]->on_node_crashed(); });
   campaign.start();
   tb.submit_at(0.0, 1);
   tb.submit_at(0.1, 2);
   tb.submit_at(6.0, 3);
-  tb.sim().run_until(sim::SimTime::units(80.0));
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  tb.simulator().run_until(sim::SimTime::units(80.0));
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   EXPECT_GE(tb.total_completed(), 3u);
   EXPECT_EQ(campaign.executed(), 3u);
   EXPECT_EQ(campaign.unfired_targeted_drops(), 0u);

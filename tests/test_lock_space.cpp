@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 
 #include "harness/experiment.hpp"
 #include "harness/lock_service.hpp"
 #include "harness/manifest.hpp"
 #include "mutex/lock_space.hpp"
+#include "obs/lifecycle.hpp"
+#include "obs/sinks.hpp"
 #include "sim/rng.hpp"
 #include "workload/zipf.hpp"
 
@@ -269,6 +273,30 @@ TEST(LockSpace, SpanReportExposesGrantWait) {
   spec.collect_spans = false;
   LockSpace bare(spec);
   EXPECT_EQ(bare.span_report(0), nullptr);
+}
+
+TEST(LockSpace, RequestIdsAreDistinctAcrossResources) {
+  // Every resource's cluster draws from the space's one id source, so no
+  // two issued requests share an id, whichever resource they are on.
+  harness::register_builtin_algorithms();
+  auto sink = std::make_shared<obs::MemorySink>();
+  LockSpaceSpec spec;
+  spec.n_resources = 2;
+  spec.n_nodes = 3;
+  spec.trace_sink = sink;
+  LockSpace space(spec);
+  for (std::size_t node = 0; node < 3; ++node) {
+    space.acquire(node, 0);
+    space.acquire(node, 1);
+  }
+  space.simulator().run();
+  ASSERT_EQ(space.total_completed(), 6u);
+  std::set<std::uint64_t> ids;
+  for (const obs::MemorySink::Entry& e : sink->by_kind(obs::kEvCsIssued)) {
+    ids.insert(e.event.req);
+  }
+  EXPECT_EQ(ids.size(), 6u);
+  EXPECT_EQ(sink->count_kind(obs::kEvCsIssued), 6u);
 }
 
 // --- Sharded lock-service scenario (harness/lock_service.hpp) ------------

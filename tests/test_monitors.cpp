@@ -74,14 +74,14 @@ TEST(ProgressMonitorReports, StarvedRequestYieldsStructuredReport) {
   ProgressMonitor::Config cfg;
   cfg.stall_threshold = sim::SimTime::units(1'000.0);
   cfg.check_interval = sim::SimTime::units(5.0);
-  ProgressMonitor monitor(tb.sim(), cfg);
+  ProgressMonitor monitor(tb.simulator(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.crash_at(0.05, 0);
   tb.submit_at(1.0, 2);
-  tb.sim().run_until(sim::SimTime::units(10'000.0));
+  tb.simulator().run_until(sim::SimTime::units(10'000.0));
   ASSERT_TRUE(monitor.stalled());
   ASSERT_TRUE(monitor.violation().has_value());
   const Violation& v = *monitor.violation();
@@ -95,13 +95,13 @@ TEST(ProgressMonitorReports, HealthyRunHasNoViolation) {
   testbed::MutexCluster tb("arbiter-tp", 3, p);
   ProgressMonitor::Config cfg;
   cfg.stall_threshold = sim::SimTime::units(10.0);
-  ProgressMonitor monitor(tb.sim(), cfg);
+  ProgressMonitor monitor(tb.simulator(), cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    monitor.watch(tb.drivers[i].get(), tb.algos[i]);
+    monitor.watch(&tb.driver(i), &tb.algorithm(i));
   }
   monitor.start();
   tb.submit_at(0.5, 1);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_FALSE(monitor.stalled());
   EXPECT_FALSE(monitor.violation().has_value());
 }

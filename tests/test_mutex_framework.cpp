@@ -150,8 +150,7 @@ TEST(CsDriver, CrashInsideCsReleasesOccupancyAndVoidsQueue) {
   f.driver->submit();
   f.algo->grant_now();
   EXPECT_EQ(f.monitor.current_occupancy(), 1);
-  f.cluster.crash_node(net::NodeId{0});
-  f.driver->on_node_crashed();
+  f.cluster.crash_node(net::NodeId{0});  // reaches the driver via algo
   EXPECT_EQ(f.monitor.current_occupancy(), 0);
   EXPECT_EQ(f.monitor.violations(), 0u);
   EXPECT_EQ(f.driver->aborted_by_crash(), 2u);  // in-CS demand + queued demand
@@ -163,7 +162,6 @@ TEST(CsDriver, CrashInsideCsReleasesOccupancyAndVoidsQueue) {
 TEST(CsDriver, CrashedNodeIgnoresNewSubmissions) {
   DriverFixture f;
   f.cluster.crash_node(net::NodeId{0});
-  f.driver->on_node_crashed();
   f.driver->submit();
   EXPECT_EQ(f.driver->submitted(), 0u);
   EXPECT_EQ(f.algo->requests, 0);

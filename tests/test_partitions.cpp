@@ -26,7 +26,7 @@ mutex::ParamSet partition_params() {
 }
 
 void split_at(testbed::MutexCluster& tb, double t) {
-  tb.sim().schedule_at(sim::SimTime::units(t), [&tb] {
+  tb.simulator().schedule_at(sim::SimTime::units(t), [&tb] {
     tb.network().faults().set_partition(
         {{net::NodeId{0}, net::NodeId{1}, net::NodeId{2}},
          {net::NodeId{3}, net::NodeId{4}}});
@@ -34,8 +34,9 @@ void split_at(testbed::MutexCluster& tb, double t) {
 }
 
 void heal_at(testbed::MutexCluster& tb, double t) {
-  tb.sim().schedule_at(sim::SimTime::units(t),
-                       [&tb] { tb.network().faults().heal_partition(); });
+  tb.simulator().schedule_at(
+      sim::SimTime::units(t),
+      [&tb] { tb.network().faults().heal_partition(); });
 }
 
 TEST(Partitions, HealRestoresLivenessForEveryone) {
@@ -46,7 +47,7 @@ TEST(Partitions, HealRestoresLivenessForEveryone) {
   tb.submit_at(3.5, 1);
   tb.submit_at(4.0, 3);  // minority keeps using the genuine token
   heal_at(tb, 30.0);
-  tb.sim().run_until(sim::SimTime::units(200.0));
+  tb.simulator().run_until(sim::SimTime::units(200.0));
   EXPECT_EQ(tb.total_completed(), tb.total_submitted());
   const auto s = tb.protocol_stats();
   // The majority took over arbitership and regenerated a token.
@@ -61,9 +62,9 @@ TEST(Partitions, MinorityRequestersServedAfterHeal) {
   tb.submit_at(3.0, 3);  // minority demand cannot reach the arbiter
   tb.submit_at(3.5, 4);
   heal_at(tb, 20.0);
-  tb.sim().run_until(sim::SimTime::units(200.0));
+  tb.simulator().run_until(sim::SimTime::units(200.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);  // single token side never forked
+  EXPECT_EQ(tb.monitor().violations(), 0u);  // single token side never forked
 }
 
 // KNOWN LIMITATION (inherited from the paper's §6): regeneration is not
@@ -85,11 +86,11 @@ TEST(Partitions, SplitBrainHazardOfQuorumlessRegeneration) {
   tb.submit_at(8.0, 3);
   tb.submit_at(9.2, 4);   // in CS exactly when the regenerated token grants
   heal_at(tb, 30.0);
-  tb.sim().run_until(sim::SimTime::units(200.0));
+  tb.simulator().run_until(sim::SimTime::units(200.0));
   EXPECT_EQ(tb.total_completed(), tb.total_submitted());  // liveness holds
   EXPECT_GE(tb.protocol_stats().tokens_regenerated, 1u);
   // The documented hazard: overlapping critical sections across the split.
-  EXPECT_GE(tb.monitor.violations(), 1u)
+  EXPECT_GE(tb.monitor().violations(), 1u)
       << "if this now passes with 0 violations, quorum-guarded regeneration "
          "was added - update DESIGN.md section 5 accordingly";
   // After healing, the epochs reconcile: the stale token is eventually
@@ -116,9 +117,9 @@ TEST(Partitions, QuorumGuardClosesTheSplitBrainWindow) {
   tb.submit_at(8.0, 3);
   tb.submit_at(9.2, 4);   // overlapped with the second token in the hazard
   heal_at(tb, 30.0);
-  tb.sim().run_until(sim::SimTime::units(200.0));
+  tb.simulator().run_until(sim::SimTime::units(200.0));
   EXPECT_EQ(tb.total_completed(), tb.total_submitted());  // liveness holds
-  EXPECT_EQ(tb.monitor.violations(), 0u);  // the hazard is gone
+  EXPECT_EQ(tb.monitor().violations(), 0u);  // the hazard is gone
   const auto s = tb.protocol_stats();
   EXPECT_EQ(s.tokens_regenerated, 0u);  // the genuine token was never forked
   EXPECT_GE(s.quorum_blocked, 1u);      // the guard actually fired

@@ -27,9 +27,9 @@ TEST(Recovery, DroppedPrivilegeIsRegenerated) {
   tb.network().faults().drop_next_of_type("PRIVILEGE");
   tb.submit_at(0.0, 1);
   tb.submit_at(0.1, 2);
-  tb.sim().run_until(sim::SimTime::units(60.0));
+  tb.simulator().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.tokens_regenerated, 1u);
   EXPECT_GE(s.enquiries_sent, 1u);
@@ -44,9 +44,9 @@ TEST(Recovery, DroppedMidQueuePrivilegeRecovered) {
   // Lose the hand-off between queue members (1 -> 2), after 1's CS.
   tb.network().faults().drop_next_of_type("PRIVILEGE", net::NodeId{1},
                                           net::NodeId{2});
-  tb.sim().run_until(sim::SimTime::units(60.0));
+  tb.simulator().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   EXPECT_GE(tb.protocol_stats().tokens_regenerated, 1u);
 }
 
@@ -58,11 +58,11 @@ TEST(Recovery, CrashedTokenHolderExcludedOthersServed) {
   // Node 1 receives the token at t=0.3 and dies inside its critical section
   // (CS spans [0.3, 0.4]).
   tb.crash_at(0.35, 1);
-  tb.sim().run_until(sim::SimTime::units(60.0));
+  tb.simulator().run_until(sim::SimTime::units(60.0));
   // Nodes 2 and 3 are served; node 1's request died with it.
-  EXPECT_EQ(tb.drivers[2]->completed(), 1u);
-  EXPECT_EQ(tb.drivers[3]->completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.driver(2).completed(), 1u);
+  EXPECT_EQ(tb.driver(3).completed(), 1u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   EXPECT_GE(tb.protocol_stats().tokens_regenerated, 1u);
 }
 
@@ -75,9 +75,9 @@ TEST(Recovery, SlowHolderTriggersResumeNotRegeneration) {
   MutexCluster tb("arbiter-tp", 5, p, /*t_msg=*/0.1, /*t_exec=*/2.5);
   tb.submit_at(0.0, 1);
   tb.submit_at(0.05, 2);
-  tb.sim().run_until(sim::SimTime::units(60.0));
+  tb.simulator().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.warnings_sent + s.enquiries_sent, 1u);
   EXPECT_GE(s.resumes_sent, 1u);
@@ -93,10 +93,10 @@ TEST(Recovery, CrashedArbiterElectIsTakenOver) {
   // the token.  The previous arbiter (node 0) must take over.
   tb.crash_at(0.95, 2);
   tb.submit_at(2.0, 3);  // a request that only a recovered system can serve
-  tb.sim().run_until(sim::SimTime::units(60.0));
-  EXPECT_EQ(tb.drivers[1]->completed(), 1u);
-  EXPECT_EQ(tb.drivers[3]->completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  tb.simulator().run_until(sim::SimTime::units(60.0));
+  EXPECT_EQ(tb.driver(1).completed(), 1u);
+  EXPECT_EQ(tb.driver(3).completed(), 1u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.probes_sent, 1u);
   EXPECT_GE(s.arbiter_takeovers, 1u);
@@ -112,9 +112,9 @@ TEST(Recovery, LostNewArbiterToElectIsCoveredByTokenProof) {
   tb.submit_at(0.0, 1);
   tb.submit_at(0.05, 2);
   tb.submit_at(3.0, 3);
-  tb.sim().run_until(sim::SimTime::units(60.0));
+  tb.simulator().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(Recovery, LostRequestRetransmitted) {
@@ -122,7 +122,7 @@ TEST(Recovery, LostRequestRetransmitted) {
   tb.network().faults().drop_next_of_type("REQUEST", net::NodeId{3});
   tb.submit_at(0.0, 3);
   tb.submit_at(0.5, 1);  // traffic so NEW-ARBITER misses accumulate
-  tb.sim().run_until(sim::SimTime::units(60.0));
+  tb.simulator().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 2u);
   EXPECT_GE(tb.protocol_stats().resubmissions, 1u);
 }
@@ -137,9 +137,9 @@ TEST(Recovery, CrashedBystanderDoesNotBlockTheSystem) {
   tb.submit_at(0.1, 1);
   tb.submit_at(0.2, 2);
   tb.submit_at(5.0, 3);
-  tb.sim().run_until(sim::SimTime::units(60.0));
+  tb.simulator().run_until(sim::SimTime::units(60.0));
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(Recovery, RestartedNodeRejoins) {
@@ -149,10 +149,10 @@ TEST(Recovery, RestartedNodeRejoins) {
   tb.restart_at(4.0, 3);
   tb.submit_at(6.0, 3);  // the restarted node requests again
   tb.submit_at(6.1, 2);
-  tb.sim().run_until(sim::SimTime::units(80.0));
-  EXPECT_EQ(tb.drivers[3]->completed(), 1u);
+  tb.simulator().run_until(sim::SimTime::units(80.0));
+  EXPECT_EQ(tb.driver(3).completed(), 1u);
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 class LossSoak : public ::testing::TestWithParam<std::uint64_t> {};

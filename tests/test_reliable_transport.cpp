@@ -16,6 +16,7 @@
 #include "fault/campaign.hpp"
 #include "fault/fault_plan.hpp"
 #include "harness/experiment.hpp"
+#include "mutex/registry.hpp"
 #include "net/delay_model.hpp"
 #include "net/msg_kind.hpp"
 #include "net/network.hpp"
@@ -93,12 +94,12 @@ TEST(ReliableTransport, DuplicatedPrivilegeDeliversExactlyOnce) {
     tb.network().faults().duplicate_next_of_type("PRIVILEGE");
   }
   tb.submit_at(0.0, 1);
-  tb.sim().run();
+  tb.simulator().run();
 
   EXPECT_EQ(tb.total_completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   EXPECT_EQ(tb.network().faults().duplicates_injected(), kDups);
-  const net::TransportStats ts = tb.cluster->transport_stats();
+  const net::TransportStats ts = tb.cluster().transport_stats();
   EXPECT_EQ(ts.dup_dropped, kDups);
   const net::MsgKind priv = net::MsgKindRegistry::instance().find("PRIVILEGE");
   ASSERT_TRUE(priv.valid());
@@ -115,11 +116,11 @@ TEST(ReliableTransport, DuplicatedGrantDeliversExactlyOnce) {
     tb.network().faults().duplicate_next_of_type("C-GRANT");
   }
   tb.submit_at(0.0, 2);
-  tb.sim().run();
+  tb.simulator().run();
 
   EXPECT_EQ(tb.total_completed(), 1u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
-  EXPECT_EQ(tb.cluster->transport_stats().dup_dropped, kDups);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+  EXPECT_EQ(tb.cluster().transport_stats().dup_dropped, kDups);
 }
 
 // ---------------------------------------------------------- loss repair
@@ -132,28 +133,28 @@ TEST(ReliableTransport, RetransmissionRepairsTargetedTokenLoss) {
   tb.network().faults().drop_next_of_type("SK-TOKEN");
   tb.submit_at(0.0, 1);
   tb.submit_at(0.1, 2);
-  tb.sim().run();
+  tb.simulator().run();
 
   EXPECT_EQ(tb.total_completed(), 2u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
-  EXPECT_GE(tb.cluster->transport_stats().retransmits, 1u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+  EXPECT_GE(tb.cluster().transport_stats().retransmits, 1u);
 }
 
 TEST(ReliableTransport, SurvivesSustainedLossWindowWithBackoff) {
   testbed::MutexCluster tb("ricart-agrawala", 4, mutex::ParamSet{},
                            /*t_msg=*/0.1, /*t_exec=*/0.1, /*seed=*/7,
                            test_config());
-  fault::CampaignRunner campaign(*tb.cluster,
+  fault::CampaignRunner campaign(tb.cluster(),
                                  FaultPlan::parse("t=0 loss *=0.4 until=30"));
   campaign.start();
   for (std::size_t i = 0; i < 20; ++i) {
     tb.submit_at(0.2 * static_cast<double>(i), i % 4);
   }
-  tb.sim().run();
+  tb.simulator().run();
 
   EXPECT_EQ(tb.total_completed(), 20u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
-  const net::TransportStats ts = tb.cluster->transport_stats();
+  EXPECT_EQ(tb.monitor().violations(), 0u);
+  const net::TransportStats ts = tb.cluster().transport_stats();
   EXPECT_GT(ts.retransmits, 0u);
   // 40% loss also eats acks, so some delivered frames are resent and must
   // be suppressed as duplicates on the receive side.
@@ -166,18 +167,18 @@ TEST(ReliableTransport, ResequencesReorderedFrames) {
   testbed::MutexCluster tb("lamport", 4, mutex::ParamSet{}, /*t_msg=*/0.1,
                            /*t_exec=*/0.1, /*seed=*/3, test_config());
   fault::CampaignRunner campaign(
-      *tb.cluster, FaultPlan::parse("reorder-window t=0..20"));
+      tb.cluster(), FaultPlan::parse("reorder-window t=0..20"));
   campaign.start();
   for (std::size_t i = 0; i < 12; ++i) {
     tb.submit_at(0.15 * static_cast<double>(i), i % 4);
   }
-  tb.sim().run();
+  tb.simulator().run();
 
   EXPECT_EQ(tb.total_completed(), 12u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   // The reorder fault delays alternate frames past their successors, so the
   // receive side must have parked at least one out-of-order frame.
-  EXPECT_GT(tb.cluster->transport_stats().reorder_buffered, 0u);
+  EXPECT_GT(tb.cluster().transport_stats().reorder_buffered, 0u);
 }
 
 // ------------------------------------------------------------ crash fencing
@@ -317,17 +318,17 @@ TEST(ReliableTransport, LossyRunIsByteDeterministic) {
          << "\n";
     });
     fault::CampaignRunner campaign(
-        *tb.cluster,
+        tb.cluster(),
         FaultPlan::parse("t=1 loss *=0.2 until=25; reorder-window t=5..15; "
                          "t=3 dup-next REQUEST"));
     campaign.start();
     for (std::size_t i = 0; i < 8; ++i) {
       tb.submit_at(0.7 * static_cast<double>(i), (i * 2) % 5);
     }
-    tb.sim().run();
+    tb.simulator().run();
     EXPECT_EQ(tb.total_completed(), 8u);
-    EXPECT_EQ(tb.monitor.violations(), 0u);
-    stats = tb.cluster->transport_stats();
+    EXPECT_EQ(tb.monitor().violations(), 0u);
+    stats = tb.cluster().transport_stats();
     return os.str();
   };
   net::TransportStats stats, rerun_stats;

@@ -23,7 +23,7 @@ TEST(Sequenced, StaleRequestSuppressedByLArray) {
   MutexCluster tb("arbiter-tp", 4, seq_params());
   // Node 1 executes one CS normally.
   tb.submit_at(0.0, 1);
-  tb.sim().run();
+  tb.simulator().run();
   ASSERT_EQ(tb.total_completed(), 1u);
 
   // Node 1 is now the arbiter holding the token with L[1] = 1.  A stale
@@ -34,7 +34,7 @@ TEST(Sequenced, StaleRequestSuppressedByLArray) {
   stale.sequence = 1;
   tb.network().send(net::NodeId{2}, net::NodeId{1},
                     net::make_payload<RequestMsg>(stale));
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 1u);  // no double grant
   EXPECT_GE(tb.arbiter(1).protocol_stats().duplicates_dropped, 1u);
 }
@@ -45,12 +45,12 @@ TEST(Sequenced, BatchOrderedByFewestPriorEntries) {
   MutexCluster tb("arbiter-tp", 4, seq_params());
   tb.submit_at(0.0, 3);
   tb.submit_at(3.0, 3);
-  tb.sim().run();
+  tb.simulator().run();
   ASSERT_EQ(tb.total_completed(), 2u);
 
   std::vector<int> order;
   for (std::size_t i = 0; i < 4; ++i) {
-    tb.drivers[i]->set_completion_callback(
+    tb.driver(i).set_completion_callback(
         [&order, i](const mutex::CsRequest&) {
           order.push_back(static_cast<int>(i));
         });
@@ -59,7 +59,7 @@ TEST(Sequenced, BatchOrderedByFewestPriorEntries) {
   // first), but its sequence (3) exceeds node 2's (1).
   tb.submit_at(10.0, 3);
   tb.submit_at(10.2, 2);
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(order, (std::vector<int>{2, 3}));
 }
 
@@ -73,9 +73,9 @@ TEST(Sequenced, LArrayTravelsWithToken) {
       tb.submit_at(5.0 * round + 0.3 * static_cast<double>(i), i);
     }
   }
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 15u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
 }
 
 TEST(Sequenced, SafeAndLiveUnderLoadWithRetransmissions) {

@@ -28,7 +28,7 @@ TEST(StarvationFree, OverforwardedRequestDroppedAtArbiter) {
   ok.forward_count = 3;  // == tau: kept
   tb.network().send(net::NodeId{1}, net::NodeId{0},
                     net::make_payload<RequestMsg>(ok));
-  tb.sim().run_until(sim::SimTime::units(0.5));
+  tb.simulator().run_until(sim::SimTime::units(0.5));
   EXPECT_EQ(tb.arbiter(0).protocol_stats().requests_dropped_overforwarded, 1u);
 }
 
@@ -43,7 +43,7 @@ TEST(StarvationFree, MonitorExemptRequestNeverDropped) {
   tb.network().send(net::NodeId{4}, net::NodeId{0},
                     net::make_payload<RequestMsg>(e, /*to_monitor=*/false,
                                                   /*from_monitor=*/true));
-  tb.sim().run_until(sim::SimTime::units(0.5));
+  tb.simulator().run_until(sim::SimTime::units(0.5));
   EXPECT_EQ(tb.arbiter(0).protocol_stats().requests_dropped_overforwarded, 0u);
 }
 
@@ -62,9 +62,9 @@ TEST(StarvationFree, DroppedRequestDivertsToMonitorAndIsServed) {
   tb.submit_at(0.5, 2);  // generates the dispatch + NEW-ARBITER traffic
   tb.submit_at(3.0, 3);  // generates the next dispatch, whose monitor visit
                          // (low-load period = every batch) releases node 1
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 3u);
-  EXPECT_EQ(tb.monitor.violations(), 0u);
+  EXPECT_EQ(tb.monitor().violations(), 0u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.monitor_resubmissions, 1u);
   EXPECT_GE(s.monitor_buffered, 1u);
@@ -88,7 +88,7 @@ TEST(StarvationFree, MonitorPatienceReleasesBufferWhenSystemGoesIdle) {
   tb.network().faults().drop_next_of_type("REQUEST", net::NodeId{1});
   tb.submit_at(0.0, 1);
   tb.submit_at(0.2, 2);  // the only other traffic; after its CS, idle
-  tb.sim().run();
+  tb.simulator().run();
   EXPECT_EQ(tb.total_completed(), 2u);
   const auto s = tb.protocol_stats();
   EXPECT_GE(s.monitor_patience_releases + s.monitor_visits, 1u);

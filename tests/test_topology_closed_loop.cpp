@@ -3,12 +3,9 @@
 
 #include <memory>
 
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
 #include "harness/experiment.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/topology.hpp"
-#include "runtime/cluster.hpp"
 #include "workload/closed_loop.hpp"
 
 namespace dmx {
@@ -61,104 +58,67 @@ TEST(Topology, ArbiterSafeAndLiveOnRingTopology) {
   // The paper claims topology independence: run the algorithm over a ring
   // where broadcast costs scale with hop distance.
   harness::register_builtin_algorithms();
-  runtime::Cluster cluster(8, std::make_unique<net::HopDelay>(
-                                  net::Topology::ring(8),
-                                  sim::SimTime::units(0.05)),
-                           3);
   mutex::ParamSet params;
   params.set("t_fwd", 0.5).set("resubmit_after_misses", 1.0);
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::int32_t i = 0; i < 8; ++i) {
-    mutex::FactoryContext ctx{net::NodeId{i}, 8, params};
-    auto algo = mutex::Registry::instance().create("arbiter-tp", ctx);
-    auto* raw = algo.get();
-    cluster.install(net::NodeId{i}, std::move(algo));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *dynamic_cast<mutex::MutexAlgorithm*>(raw),
-        sim::SimTime::units(0.1), &monitor, &ids));
-  }
-  cluster.start();
+  mutex::MutexCluster mc(
+      "arbiter-tp", 8, params, sim::SimTime::units(0.1),
+      std::make_unique<net::HopDelay>(net::Topology::ring(8),
+                                      sim::SimTime::units(0.05)),
+      3);
   sim::Rng rng(5);
   for (int k = 0; k < 200; ++k) {
     const auto node = static_cast<std::size_t>(rng.uniform_int(0, 7));
     const double when = rng.uniform(0.0, 60.0);
-    cluster.simulator().schedule_at(
-        sim::SimTime::units(when),
-        [&drivers, node] { drivers[node]->submit(); });
+    mc.simulator().schedule_at(sim::SimTime::units(when),
+                               [&mc, node] { mc.driver(node).submit(); });
   }
-  cluster.simulator().run();
-  std::uint64_t done = 0;
-  for (auto& d : drivers) done += d->completed();
-  EXPECT_EQ(done, 200u);
-  EXPECT_EQ(monitor.violations(), 0u);
+  mc.simulator().run();
+  EXPECT_EQ(mc.total_completed(), 200u);
+  EXPECT_EQ(mc.monitor().violations(), 0u);
 }
 
-struct ClosedLoopFixture {
-  runtime::Cluster cluster;
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  std::vector<mutex::CsDriver*> dp;
-
-  explicit ClosedLoopFixture(std::size_t n)
-      : cluster(n,
-                std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)),
-                2) {
-    harness::register_builtin_algorithms();
-    mutex::ParamSet params;
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId nid{static_cast<std::int32_t>(i)};
-      mutex::FactoryContext ctx{nid, n, params};
-      auto algo = mutex::Registry::instance().create("arbiter-tp", ctx);
-      auto* raw = algo.get();
-      cluster.install(nid, std::move(algo));
-      drivers.push_back(std::make_unique<mutex::CsDriver>(
-          cluster.simulator(), *dynamic_cast<mutex::MutexAlgorithm*>(raw),
-          sim::SimTime::units(0.1), &monitor, &ids));
-      dp.push_back(drivers.back().get());
-    }
-    cluster.start();
-  }
-};
+/// An n-node arbiter-tp cluster for the closed-loop tests.
+mutex::MutexCluster closed_loop_cluster(std::size_t n) {
+  harness::register_builtin_algorithms();
+  return mutex::MutexCluster(
+      "arbiter-tp", n, mutex::ParamSet{}, sim::SimTime::units(0.1),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)), 2);
+}
 
 TEST(ClosedLoop, ZeroThinkTimeSaturatesAtHeavyLoadBound) {
   // Think time ~ 0 reproduces the paper's heavy-load regime exactly: every
   // node always has a pending request, so messages/CS -> 3 - 2/N.
-  ClosedLoopFixture f(10);
+  mutex::MutexCluster mc = closed_loop_cluster(10);
   std::vector<std::unique_ptr<workload::ArrivalProcess>> think;
   for (int i = 0; i < 10; ++i) {
     think.push_back(std::make_unique<workload::DeterministicArrivals>(
         sim::SimTime::ticks(1)));
   }
-  workload::ClosedLoopGenerator gen(f.cluster.simulator(), f.dp,
+  workload::ClosedLoopGenerator gen(mc.simulator(), mc.drivers(),
                                     std::move(think), 10'000, 4);
   gen.start();
-  f.cluster.simulator().run();
-  std::uint64_t done = 0;
-  for (auto& d : f.drivers) done += d->completed();
+  mc.simulator().run();
+  const std::uint64_t done = mc.total_completed();
   EXPECT_EQ(done, 10'000u);
-  EXPECT_EQ(f.monitor.violations(), 0u);
-  const double mpc =
-      static_cast<double>(f.cluster.network().stats().sent) /
-      static_cast<double>(done);
+  EXPECT_EQ(mc.monitor().violations(), 0u);
+  const double mpc = static_cast<double>(mc.network().stats().sent) /
+                     static_cast<double>(done);
   EXPECT_NEAR(mpc, 2.8, 0.15);
 }
 
 TEST(ClosedLoop, BoundedPopulation) {
   // A closed loop never queues locally: at most one outstanding demand per
   // node at any time.
-  ClosedLoopFixture f(4);
+  mutex::MutexCluster mc = closed_loop_cluster(4);
   std::vector<std::unique_ptr<workload::ArrivalProcess>> think;
   for (int i = 0; i < 4; ++i) {
     think.push_back(std::make_unique<workload::PoissonArrivals>(2.0));
   }
-  workload::ClosedLoopGenerator gen(f.cluster.simulator(), f.dp,
+  workload::ClosedLoopGenerator gen(mc.simulator(), mc.drivers(),
                                     std::move(think), 500, 4);
   gen.start();
-  f.cluster.simulator().run();
-  for (auto& d : f.drivers) {
+  mc.simulator().run();
+  for (const mutex::CsDriver* d : mc.drivers()) {
     EXPECT_TRUE(d->idle());
     // Sojourn equals service when there is no local queueing.
     EXPECT_NEAR(d->sojourn_time().mean(), d->service_time().mean(), 1e-9);
@@ -167,19 +127,19 @@ TEST(ClosedLoop, BoundedPopulation) {
 }
 
 TEST(ClosedLoop, StopNodeHaltsItsLoop) {
-  ClosedLoopFixture f(3);
+  mutex::MutexCluster mc = closed_loop_cluster(3);
   std::vector<std::unique_ptr<workload::ArrivalProcess>> think;
   for (int i = 0; i < 3; ++i) {
     think.push_back(std::make_unique<workload::DeterministicArrivals>(
         sim::SimTime::units(1.0)));
   }
-  workload::ClosedLoopGenerator gen(f.cluster.simulator(), f.dp,
+  workload::ClosedLoopGenerator gen(mc.simulator(), mc.drivers(),
                                     std::move(think), 1'000'000, 4);
   gen.stop_node(2);
   gen.start();
-  f.cluster.simulator().run_until(sim::SimTime::units(20.0));
-  EXPECT_EQ(f.drivers[2]->submitted(), 0u);
-  EXPECT_GT(f.drivers[0]->submitted(), 5u);
+  mc.simulator().run_until(sim::SimTime::units(20.0));
+  EXPECT_EQ(mc.driver(2).submitted(), 0u);
+  EXPECT_GT(mc.driver(0).submitted(), 5u);
 }
 
 }  // namespace

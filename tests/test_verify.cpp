@@ -299,6 +299,21 @@ TEST(Counterexamples, RoundTripThroughTextFormat) {
   EXPECT_EQ(back.to_string(), cex.to_string());
 }
 
+TEST(Counterexamples, RoundTripKeepsStringParams) {
+  // order is the one string-valued key: a file written for order=priority
+  // must not replay under FCFS.
+  Counterexample cex;
+  cex.config = base_config("arbiter-tp");
+  cex.config.params.set("order", std::string("priority")).set("t_req", 0.2);
+  const std::string text = cex.to_string();
+  EXPECT_NE(text.find("\nparam order priority\n"), std::string::npos)
+      << text;
+  const Counterexample back = Counterexample::parse(text);
+  EXPECT_EQ(back.config.params.get_str("order", "fcfs"), "priority");
+  EXPECT_EQ(back.config.params.get_num("t_req", 0.0), 0.2);
+  EXPECT_EQ(back.to_string(), text);
+}
+
 TEST(Counterexamples, ReplayReproducesTheViolation) {
   const VerifyResult res = explore(base_config("mutant-token-regen"));
   ASSERT_FALSE(res.ok());

@@ -1,33 +1,29 @@
-// Shared fixture for protocol-level tests: a cluster of N mutex algorithm
-// instances with drivers, a safety monitor and a memory trace sink, driven
-// manually (no workload generator) so tests can script exact scenarios.
+// Shared fixture for protocol-level tests: a mutex::MutexCluster with a
+// memory trace sink, driven manually (no workload generator) so tests can
+// script exact scenarios.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/arbiter_mutex.hpp"
 #include "harness/experiment.hpp"
-#include "mutex/cs_driver.hpp"
-#include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "net/delay_model.hpp"
 #include "obs/sinks.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 
 namespace dmx::testbed {
 
-struct MutexCluster {
-  std::shared_ptr<obs::MemorySink> sink;
-  std::unique_ptr<runtime::Cluster> cluster;
-  mutex::SafetyMonitor monitor;
-  mutex::RequestIdSource ids;
-  std::vector<mutex::MutexAlgorithm*> algos;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
+/// What the cluster needs before it is built, as its first base: the
+/// registry its algorithms come from and the sink it traces into.
+struct Setup {
+  Setup() { harness::register_builtin_algorithms(); }
+  std::shared_ptr<obs::MemorySink> sink = std::make_shared<obs::MemorySink>();
+};
 
+struct MutexCluster : Setup, mutex::MutexCluster {
   /// Build an N-node cluster of the named registered algorithm.  Pass a
   /// ReliableTransportConfig to interpose the sliding-window transport
   /// beneath every process (defaults are scaled to t_msg).
@@ -36,68 +32,38 @@ struct MutexCluster {
                double t_exec = 0.1, std::uint64_t seed = 1,
                std::optional<net::ReliableTransportConfig> reliable =
                    std::nullopt)
-      : sink(std::make_shared<obs::MemorySink>()) {
-    harness::register_builtin_algorithms();
-    cluster = std::make_unique<runtime::Cluster>(
-        n, std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)),
-        seed, obs::Tracer(sink));
-    if (reliable) cluster->use_reliable_transport(*reliable);
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId nid{static_cast<std::int32_t>(i)};
-      mutex::FactoryContext ctx{nid, n, params};
-      auto algo = mutex::Registry::instance().create(algorithm, ctx);
-      algos.push_back(algo.get());
-      cluster->install(nid, std::move(algo));
-      drivers.push_back(std::make_unique<mutex::CsDriver>(
-          cluster->simulator(), *algos.back(), sim::SimTime::units(t_exec),
-          &monitor, &ids));
-      drivers.back()->set_tracer(obs::Tracer(sink));
-    }
-    cluster->start();
-  }
-
-  sim::Simulator& sim() { return cluster->simulator(); }
-  net::Network& network() { return cluster->network(); }
+      : mutex::MutexCluster(
+            algorithm, n, params, sim::SimTime::units(t_exec),
+            std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)),
+            seed, obs::Tracer(sink), reliable) {}
 
   core::ArbiterMutex& arbiter(std::size_t i) {
-    return *dynamic_cast<core::ArbiterMutex*>(algos[i]);
+    return dynamic_cast<core::ArbiterMutex&>(algorithm(i));
   }
 
   /// Submit a CS demand at node i at absolute sim time t.
   void submit_at(double t, std::size_t i, int priority = 0) {
-    sim().schedule_at(sim::SimTime::units(t),
-                      [this, i, priority] { drivers[i]->submit(priority); });
+    simulator().schedule_at(sim::SimTime::units(t), [this, i, priority] {
+      driver(i).submit(priority);
+    });
   }
 
   void crash_at(double t, std::size_t i) {
-    sim().schedule_at(sim::SimTime::units(t), [this, i] {
-      cluster->crash_node(net::NodeId{static_cast<std::int32_t>(i)});
-      drivers[i]->on_node_crashed();
+    simulator().schedule_at(sim::SimTime::units(t), [this, i] {
+      cluster().crash_node(net::NodeId{static_cast<std::int32_t>(i)});
     });
   }
 
   void restart_at(double t, std::size_t i) {
-    sim().schedule_at(sim::SimTime::units(t), [this, i] {
-      cluster->restart_node(net::NodeId{static_cast<std::int32_t>(i)});
+    simulator().schedule_at(sim::SimTime::units(t), [this, i] {
+      cluster().restart_node(net::NodeId{static_cast<std::int32_t>(i)});
     });
-  }
-
-  [[nodiscard]] std::uint64_t total_completed() const {
-    std::uint64_t c = 0;
-    for (const auto& d : drivers) c += d->completed();
-    return c;
-  }
-
-  [[nodiscard]] std::uint64_t total_submitted() const {
-    std::uint64_t c = 0;
-    for (const auto& d : drivers) c += d->submitted();
-    return c;
   }
 
   core::ArbiterStats protocol_stats() {
     core::ArbiterStats s;
-    for (auto* a : algos) {
-      if (auto* arb = dynamic_cast<core::ArbiterMutex*>(a)) {
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (auto* arb = dynamic_cast<core::ArbiterMutex*>(&algorithm(i))) {
         s.merge(arb->protocol_stats());
       }
     }

@@ -18,14 +18,12 @@
 #include <vector>
 
 #include "harness/cli.hpp"
-#include "mutex/cs_driver.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
-#include "mutex/safety_monitor.hpp"
 #include "net/delay_model.hpp"
 #include "obs/sinks.hpp"
 #include "obs/span.hpp"
 #include "obs/tracer.hpp"
-#include "runtime/cluster.hpp"
 
 namespace {
 
@@ -77,11 +75,12 @@ int main(int argc, char** argv) {
   std::vector<Action> actions;
   std::vector<std::string> drops;
   std::string trace_out;
-  std::string trace_format = "jsonl";
+  obs::TraceFormat trace_format = obs::TraceFormat::kJsonl;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
-  // The numeric parsers (harness/cli.hpp) throw std::invalid_argument on
-  // malformed input: a usage error, never an abort or a truncated value.
+  // The shared parsers (harness/cli.hpp, obs/sinks.hpp) throw
+  // std::invalid_argument on malformed input: a usage error, never an abort
+  // or a truncated value.
   try {
     for (std::size_t i = 0; i < args.size(); ++i) {
       auto value = [&](const char* flag) {
@@ -103,16 +102,7 @@ int main(int argc, char** argv) {
         t_msg = t_exec = 1.0;
         params.set("t_req", 1.0).set("t_fwd", 1.0);
       } else if (a == "--param") {
-        const std::string kv = value("--param");
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) usage_error("--param expects key=value");
-        // Numeric if it parses as a number, string otherwise.
-        try {
-          params.set(kv.substr(0, eq),
-                     harness::parse_double(a, kv.substr(eq + 1)));
-        } catch (const std::invalid_argument&) {
-          params.set(kv.substr(0, eq), kv.substr(eq + 1));
-        }
+        harness::parse_param(a, value("--param"), params);
       } else if (a == "--submit") {
         actions.push_back(
             parse_action(Action::kSubmit, a, value("--submit")));
@@ -128,11 +118,7 @@ int main(int argc, char** argv) {
       } else if (a == "--trace-out") {
         trace_out = value("--trace-out");
       } else if (a == "--trace-format") {
-        trace_format = value("--trace-format");
-        if (trace_format != "jsonl" && trace_format != "chrome" &&
-            trace_format != "text") {
-          usage_error("--trace-format expects jsonl, chrome or text");
-        }
+        trace_format = obs::parse_trace_format(a, value("--trace-format"));
       } else if (a == "--help" || a == "-h") {
         usage_error("help");
       } else {
@@ -160,68 +146,46 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) {
     trace_file.open(trace_out);
     if (!trace_file) usage_error("cannot open --trace-out file " + trace_out);
-    obs::TraceFormat fmt = obs::TraceFormat::kJsonl;
-    if (trace_format == "chrome") fmt = obs::TraceFormat::kChrome;
-    if (trace_format == "text") fmt = obs::TraceFormat::kText;
     file_chain = std::make_shared<obs::SpanCollector>(
-        obs::make_format_sink(fmt, trace_file));
+        obs::make_format_sink(trace_format, trace_file));
     cluster_sink = std::make_shared<obs::TeeSink>(
         std::vector<std::shared_ptr<obs::Sink>>{console, file_chain});
   }
-  obs::Tracer tracer(cluster_sink);
-  runtime::Cluster cluster(
-      n, std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)), 7,
-      tracer);
-  cluster.network().set_tap([&](const net::Envelope& env, bool dropped) {
+  mutex::MutexCluster mc(
+      algo, n, params, sim::SimTime::units(t_exec),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(t_msg)), 7,
+      obs::Tracer(cluster_sink));
+  mc.network().set_tap([&](const net::Envelope& env, bool dropped) {
     std::cout << "[" << env.sent_at.to_string() << "] msg     " << env.src
               << " -> " << env.dst << "  " << env.payload->describe()
               << (dropped ? "  [DROPPED]" : "") << "\n";
   });
   for (const auto& type : drops) {
-    cluster.network().faults().drop_next_of_type(type);
+    mc.network().faults().drop_next_of_type(type);
   }
-
-  mutex::RequestIdSource ids;
-  mutex::SafetyMonitor monitor;
-  std::vector<std::unique_ptr<mutex::CsDriver>> drivers;
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::NodeId nid{static_cast<std::int32_t>(i)};
-    mutex::FactoryContext ctx{nid, n, params};
-    auto algorithm = mutex::Registry::instance().create(algo, ctx);
-    auto* raw = algorithm.get();
-    cluster.install(nid, std::move(algorithm));
-    drivers.push_back(std::make_unique<mutex::CsDriver>(
-        cluster.simulator(), *raw, sim::SimTime::units(t_exec), &monitor,
-        &ids));
-    drivers.back()->set_tracer(tracer);
-  }
-  cluster.start();
 
   for (const Action& act : actions) {
     if (act.node >= n) usage_error("action node out of range");
-    cluster.simulator().schedule_at(
-        sim::SimTime::units(act.time), [&, act] {
-          const net::NodeId nid{static_cast<std::int32_t>(act.node)};
-          switch (act.kind) {
-            case Action::kSubmit:
-              drivers[act.node]->submit();
-              break;
-            case Action::kCrash:
-              cluster.crash_node(nid);
-              drivers[act.node]->on_node_crashed();
-              break;
-            case Action::kRestart:
-              cluster.restart_node(nid);
-              break;
-          }
-        });
+    mc.simulator().schedule_at(sim::SimTime::units(act.time), [&, act] {
+      const net::NodeId nid{static_cast<std::int32_t>(act.node)};
+      switch (act.kind) {
+        case Action::kSubmit:
+          mc.driver(act.node).submit();
+          break;
+        case Action::kCrash:
+          mc.cluster().crash_node(nid);
+          break;
+        case Action::kRestart:
+          mc.cluster().restart_node(nid);
+          break;
+      }
+    });
   }
-  cluster.simulator().run_until(sim::SimTime::units(until));
+  mc.simulator().run_until(sim::SimTime::units(until));
 
-  std::uint64_t completed = 0;
-  for (auto& d : drivers) completed += d->completed();
-  std::cout << "\n" << completed << " critical sections, "
-            << cluster.network().stats().sent << " messages, "
-            << monitor.violations() << " safety violations\n";
-  return monitor.violations() == 0 ? 0 : 1;
+  const std::uint64_t violations = mc.monitor().violations();
+  std::cout << "\n" << mc.total_completed() << " critical sections, "
+            << mc.network().stats().sent << " messages, " << violations
+            << " safety violations\n";
+  return violations == 0 ? 0 : 1;
 }

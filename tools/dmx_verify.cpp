@@ -29,6 +29,7 @@
 namespace {
 
 using dmx::harness::parse_double;
+using dmx::harness::parse_param;
 using dmx::harness::parse_u64;
 using dmx::verify::Counterexample;
 using dmx::verify::VerifyConfig;
@@ -39,7 +40,7 @@ struct Options {
   std::string cex_out;
   std::string replay_file;
   std::string trace_out;
-  std::string trace_format = "jsonl";
+  dmx::obs::TraceFormat trace_format = dmx::obs::TraceFormat::kJsonl;
   bool list = false;
   bool help = false;
 };
@@ -91,12 +92,7 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (a == "--t-exec") {
       o.cfg.t_exec = parse_double(a, need(i, a));
     } else if (a == "--param") {
-      const std::string kv = need(i, a);
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        throw std::invalid_argument("--param expects key=value, got " + kv);
-      }
-      o.cfg.params.set(kv.substr(0, eq), parse_double(a, kv.substr(eq + 1)));
+      parse_param(a, need(i, a), o.cfg.params);
     } else if (a == "--fault") {
       o.cfg.fault_plan = need(i, a);
     } else if (a == "--quorum") {
@@ -118,12 +114,7 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (a == "--trace-out") {
       o.trace_out = need(i, a);
     } else if (a == "--trace-format") {
-      o.trace_format = need(i, a);
-      if (o.trace_format != "jsonl" && o.trace_format != "chrome" &&
-          o.trace_format != "text") {
-        throw std::invalid_argument("unknown --trace-format " +
-                                    o.trace_format);
-      }
+      o.trace_format = dmx::obs::parse_trace_format(a, need(i, a));
     } else if (a == "--list") {
       o.list = true;
     } else if (a == "--help") {
@@ -222,10 +213,7 @@ int run_replay(const Options& o) {
       std::cerr << "cannot open --trace-out file '" << o.trace_out << "'\n";
       return 2;
     }
-    dmx::obs::TraceFormat fmt = dmx::obs::TraceFormat::kJsonl;
-    if (o.trace_format == "chrome") fmt = dmx::obs::TraceFormat::kChrome;
-    if (o.trace_format == "text") fmt = dmx::obs::TraceFormat::kText;
-    sink = dmx::obs::make_format_sink(fmt, trace_file);
+    sink = dmx::obs::make_format_sink(o.trace_format, trace_file);
   }
 
   const dmx::verify::ReplayResult res = dmx::verify::replay(cex, sink);
