@@ -3,6 +3,7 @@
 // — any reordering, extra message or timing drift fails loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "fault/campaign.hpp"
@@ -146,6 +147,10 @@ TEST(GoldenTrace, FaultCampaignIsBitDeterministic) {
   EXPECT_NE(first.find(" DROPPED"), std::string::npos);
   EXPECT_NE(first.find("ENQUIRY"), std::string::npos);
   EXPECT_EQ(first, run_fault_campaign_trace());
+  // Pinned as well, so a change to §6's wire behaviour fails here even
+  // when it is deterministic.
+  EXPECT_EQ(std::count(first.begin(), first.end(), '\n'), 24);
+  EXPECT_EQ(testbed::fnv1a64(first), 0x4374780ff702a483ULL);
 }
 
 }  // namespace

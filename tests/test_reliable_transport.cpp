@@ -291,16 +291,6 @@ TEST(ReliableTransport, RetryCapAbandonmentResyncsLiveLinkAfterLossHeals) {
 
 // ----------------------------------------------------------- determinism
 
-/// FNV-1a-64 of a trace: a compact pin for a long byte string.
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // A lossy reliable run is a pure function of (seed, config): two identical
 // runs produce byte-identical wire traces, timers and jitter included.  The
 // trace and the transport counters are also pinned to fixed values, so a
@@ -338,7 +328,7 @@ TEST(ReliableTransport, LossyRunIsByteDeterministic) {
   EXPECT_EQ(first, second);
 
   EXPECT_EQ(std::count(first.begin(), first.end(), '\n'), 93);
-  EXPECT_EQ(fnv1a64(first), 0xc75cff1be13f3799ULL);
+  EXPECT_EQ(testbed::fnv1a64(first), 0xc75cff1be13f3799ULL);
   EXPECT_EQ(stats.data_sent, 38u);
   EXPECT_EQ(stats.retransmits, 18u);
   EXPECT_EQ(stats.acks_sent, 37u);

@@ -102,6 +102,35 @@ TEST(Explorer, ArbiterWithRecoverySurvivesCrashChoices) {
   EXPECT_EQ(res.stats.max_depth_reached, 30u);
 }
 
+TEST(Explorer, StarvationFreeN3IsExhaustivelyClean) {
+  // The §4.1 variant: the adaptive period starts at one dispatch, so the
+  // token's route through the monitor (inline at the arbiter, and as a
+  // via-monitor PRIVILEGE) and the monitor's NEW-ARBITER are in this
+  // search, and the exact counts pin them.
+  const VerifyResult res = explore(base_config("arbiter-tp-sf"));
+  EXPECT_TRUE(res.ok()) << res.violation->describe();
+  EXPECT_TRUE(res.stats.complete);
+  EXPECT_EQ(res.stats.truncated, 0u);
+  EXPECT_EQ(res.stats.schedules, 5556u);
+  EXPECT_EQ(res.stats.terminal, 2699u);
+  EXPECT_EQ(res.stats.sleep_blocked, 2857u);
+}
+
+TEST(Explorer, StarvationFreeWithRecoverySurvivesCrashChoices) {
+  // §6 recovery on top of the monitor route: a crash of node 1 at every
+  // reachable state.
+  VerifyConfig cfg = base_config("arbiter-tp-sf");
+  cfg.params.set("recovery", 1.0);
+  cfg.fault_plan = "t=0 crash 1";
+  const VerifyResult res = explore(cfg);
+  EXPECT_TRUE(res.ok()) << res.violation->describe();
+  EXPECT_TRUE(res.stats.complete);
+  EXPECT_EQ(res.stats.schedules, 51794u);
+  EXPECT_EQ(res.stats.terminal, 40465u);
+  EXPECT_EQ(res.stats.truncated, 0u);
+  EXPECT_EQ(res.stats.sleep_blocked, 11329u);
+}
+
 TEST(Explorer, IdenticalConfigsProduceIdenticalStats) {
   const VerifyResult a = explore(base_config("arbiter-tp"));
   const VerifyResult b = explore(base_config("arbiter-tp"));

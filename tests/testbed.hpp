@@ -3,6 +3,7 @@
 // script exact scenarios.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,6 +16,16 @@
 #include "obs/tracer.hpp"
 
 namespace dmx::testbed {
+
+/// FNV-1a-64 of a trace: a compact pin for a long byte string.
+inline std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// What the cluster needs before it is built, as its first base: the
 /// registry its algorithms come from and the sink it traces into.
