@@ -31,7 +31,6 @@ ArbiterParams ArbiterParams::from_params(const mutex::ParamSet& p) {
   a.monitor = net::NodeId{
       static_cast<std::int32_t>(p.get_num("monitor", a.monitor.value()))};
   a.tau = static_cast<std::uint32_t>(p.get_num("tau", a.tau));
-  a.q_window = static_cast<std::uint32_t>(p.get_num("q_window", a.q_window));
   a.rotate_monitor = p.get_bool("rotate_monitor", a.rotate_monitor);
   a.monitor_patience = p.get_time("monitor_patience", a.monitor_patience);
   a.recovery = p.get_bool("recovery", a.recovery);
@@ -40,9 +39,6 @@ ArbiterParams ArbiterParams::from_params(const mutex::ParamSet& p) {
   a.arbiter_timeout = p.get_time("arbiter_timeout", a.arbiter_timeout);
   a.probe_timeout = p.get_time("probe_timeout", a.probe_timeout);
   a.recovery_quorum = p.get_bool("recovery_quorum", a.recovery_quorum);
-  a.quorum_backoff = p.get_time("quorum_backoff", a.quorum_backoff);
-  a.quorum_backoff_cap =
-      p.get_time("quorum_backoff_cap", a.quorum_backoff_cap);
   return a;
 }
 

@@ -49,9 +49,6 @@ struct ArbiterParams {
   /// Drop requests forwarded more than tau times; requesters divert to the
   /// monitor after tau consecutive NEW-ARBITER misses.
   std::uint32_t tau = 3;
-  /// Moving-window length for the average Q-list size estimate that drives
-  /// the adaptive token-to-monitor period.
-  std::uint32_t q_window = 10;
   /// Rotate the monitor role round-robin on every monitor visit (§5.1).
   bool rotate_monitor = false;
   /// Implementation safeguard: if the monitor sits on buffered requests this
@@ -80,10 +77,6 @@ struct ArbiterParams {
   /// invalidation round.  Off by default (paper-faithful §6 behavior, which
   /// admits split brain under partition — DESIGN.md §13).
   bool recovery_quorum = false;
-  /// Initial retry delay after a quorum-blocked invalidation round.
-  sim::SimTime quorum_backoff = sim::SimTime::units(1.0);
-  /// Backoff doubles per consecutive blocked round up to this cap.
-  sim::SimTime quorum_backoff_cap = sim::SimTime::units(8.0);
 
   /// Build from a generic ParamSet (registry/bench path); unknown keys are
   /// ignored, missing keys keep the defaults above.

@@ -34,11 +34,6 @@ enum class BatchOrder {
   });
 }
 
-[[nodiscard]] inline bool q_contains_node(const QList& q, net::NodeId node) {
-  return std::any_of(q.begin(), q.end(),
-                     [&](const QEntry& e) { return e.node == node; });
-}
-
 /// Apply the configured batch ordering.  All orderings are stable so FCFS is
 /// the tie-break within equal keys.
 inline void order_batch(QList& q, BatchOrder order) {
