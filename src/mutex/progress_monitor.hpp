@@ -62,9 +62,8 @@ class ProgressMonitor {
   void stop();
 
   [[nodiscard]] bool stalled() const { return stalled_; }
-  /// Time the stall was declared / the last completion before it.
+  /// Time the stall was declared.
   [[nodiscard]] sim::SimTime stall_time() const { return stall_time_; }
-  [[nodiscard]] sim::SimTime last_progress_time() const { return last_progress_; }
   /// Multi-line per-node diagnosis captured at the stall instant.
   [[nodiscard]] const std::string& diagnosis() const { return diagnosis_; }
   [[nodiscard]] std::uint64_t checks_performed() const { return checks_; }

@@ -4,22 +4,6 @@
 
 namespace dmx::net {
 
-std::string_view drop_reason_name(DropReason r) {
-  switch (r) {
-    case DropReason::kNone:
-      return "none";
-    case DropReason::kNodeDown:
-      return "node-down";
-    case DropReason::kPartition:
-      return "partition";
-    case DropReason::kOneShot:
-      return "one-shot";
-    case DropReason::kRandomLoss:
-      return "random-loss";
-  }
-  return "<invalid>";
-}
-
 void FaultInjector::set_loss_probability(double p) {
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument("loss probability must be in [0,1]");
@@ -152,7 +136,6 @@ sim::SimTime FaultInjector::reorder_penalty(sim::SimTime base_latency) {
   // window is invisible to the loss stream.
   reorder_toggle_ = !reorder_toggle_;
   if (!reorder_toggle_) return sim::SimTime::zero();
-  ++reordered_;
   return base_latency * 2;
 }
 

@@ -54,8 +54,6 @@ enum class DropReason : std::uint8_t {
 };
 inline constexpr std::size_t kDropReasonCount = 5;
 
-[[nodiscard]] std::string_view drop_reason_name(DropReason r);
-
 class FaultInjector {
  public:
   using Predicate = std::function<bool(const Envelope&)>;
@@ -134,9 +132,7 @@ class FaultInjector {
   /// message); it never touches the RNG, so toggling a window does not
   /// perturb the loss stream.
   void set_reorder(bool active) { reorder_active_ = active; }
-  [[nodiscard]] bool reorder_active() const { return reorder_active_; }
   [[nodiscard]] sim::SimTime reorder_penalty(sim::SimTime base_latency);
-  [[nodiscard]] std::uint64_t reordered_count() const { return reordered_; }
 
   /// Mark a node as down (fail-silent) / back up.
   void set_node_down(NodeId node, bool down);
@@ -186,7 +182,6 @@ class FaultInjector {
   std::uint64_t duplicates_injected_ = 0;
   bool reorder_active_ = false;
   bool reorder_toggle_ = false;
-  std::uint64_t reordered_ = 0;
   std::unordered_set<NodeId> down_nodes_;
   std::unordered_map<NodeId, int> group_of_;
   std::uint64_t dropped_ = 0;

@@ -23,7 +23,6 @@ class Histogram {
   /// containing bin.  Underflow samples count as `lo`, overflow as `hi`.
   [[nodiscard]] double quantile(double p) const;
 
-  [[nodiscard]] double bin_width() const { return width_; }
   [[nodiscard]] const std::vector<std::uint64_t>& bins() const { return bins_; }
 
   /// Multi-line ASCII rendering (for example programs).

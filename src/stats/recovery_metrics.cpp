@@ -21,7 +21,6 @@ void RecoveryMetrics::on_progress(double t) {
     rec.recovered = true;
     rec.time_to_recovery = t - rec.at;
     ttr_.add(rec.time_to_recovery);
-    ttr_hist_.add(rec.time_to_recovery);
     ++recovered_;
   }
   open_.clear();

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "stats/histogram.hpp"
 #include "stats/welford.hpp"
 
 namespace dmx::stats {
@@ -32,10 +31,6 @@ class RecoveryMetrics {
     double time_to_recovery = 0.0;  ///< Valid when recovered.
     bool recovered = false;
   };
-
-  /// TTR histogram range [0, hi) with `bins` linear bins.
-  explicit RecoveryMetrics(double ttr_hi = 100.0, std::size_t bins = 1'000)
-      : ttr_hist_(0.0, ttr_hi, bins) {}
 
   /// A disruptive fault fired at time t (opens a recovery window).
   void on_fault(double t, std::string label);
@@ -64,7 +59,6 @@ class RecoveryMetrics {
   }
   /// Per-fault time-to-recovery samples (mean/min/max/stddev).
   [[nodiscard]] const Welford& ttr() const { return ttr_; }
-  [[nodiscard]] const Histogram& ttr_histogram() const { return ttr_hist_; }
   /// Union of fault-to-recovery windows, in sim units.
   [[nodiscard]] double unavailability() const { return unavailability_; }
   [[nodiscard]] const std::vector<FaultRecord>& records() const {
@@ -91,7 +85,6 @@ class RecoveryMetrics {
   std::vector<std::size_t> open_groups_;  ///< Unclosed partition records.
   double union_start_ = 0.0;       ///< Earliest open fault time.
   Welford ttr_;
-  Histogram ttr_hist_;
   double unavailability_ = 0.0;
   std::uint64_t recovered_ = 0;
 };
