@@ -69,6 +69,10 @@ echo "=== verify smoke: quorum-guarded recovery matrix (crash / restart / lose-n
 # means the schedule space (or the pruning) changed and must be re-derived
 # on purpose.  The N=4 crash count includes 497472 schedules cut at the
 # depth bound; it moves only when the verdict on such cut schedules does.
+# Those cut schedules hide a known liveness hole: a crashed node that the
+# freshest dispatch views name as a possible holder never replies, so the
+# guard parks until it restarts (the survivors stall for good under a
+# crash-stop).  ROADMAP's first open item tracks the fix.
 run_matrix_cell() {
   local label="$1" expect="$2"; shift 2
   if ! out=$("$VERIFY" "$@" 2>&1); then
