@@ -185,7 +185,7 @@ class alignas(64) ArbiterMutex final : public mutex::MutexAlgorithm {
   net::NodeId monitor_;
   std::uint64_t epoch_ = 1;
   std::uint32_t counter_ = 0;           ///< NEW-ARBITER dispatch counter.
-  stats::MovingWindow q_sizes_;         ///< Observed Q-list sizes (§4.1).
+  stats::MovingWindow q_sizes_;         ///< Q-list sizes; §4.1 variant only.
 
   // Requester state.
   std::optional<mutex::CsRequest> pending_;
@@ -238,6 +238,7 @@ class alignas(64) ArbiterMutex final : public mutex::MutexAlgorithm {
   // Partition-safe recovery state (quorum mode).  The freshest dispatch
   // view this node has witnessed: the epoch, the arbiter it elected, and
   // the Q-list it scheduled — i.e. who could legitimately hold the token.
+  // Kept only under recovery, the one mode that reads it.
   std::uint64_t view_epoch_ = 0;
   net::NodeId view_arbiter_{-1};
   QList view_q_;

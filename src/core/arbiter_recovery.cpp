@@ -339,7 +339,8 @@ void ArbiterMutex::takeover_arbitership() {
 
 void ArbiterMutex::note_dispatch_view(std::uint64_t epoch, net::NodeId arb,
                                       const QList& q) {
-  if (epoch < view_epoch_) return;
+  // Only §6 ENQUIRY replies and the quorum guard read the view.
+  if (!params_.recovery || epoch < view_epoch_) return;
   // An empty Q at the same epoch is a role announcement (takeover,
   // reassert), not a dispatch: it moves no token, so it must not erase the
   // holder knowledge carried by the last real dispatch (or the initial

@@ -140,11 +140,14 @@ sim::SimTime FaultInjector::reorder_penalty(sim::SimTime base_latency) {
 }
 
 void FaultInjector::set_node_down(NodeId node, bool down) {
-  if (down) {
-    down_nodes_.insert(node);
-  } else {
-    down_nodes_.erase(node);
+  if (!node.valid()) {
+    throw std::invalid_argument("FaultInjector::set_node_down: invalid node");
   }
+  if (node.index() >= down_.size()) {
+    if (!down) return;
+    down_.resize(node.index() + 1, 0);
+  }
+  down_[node.index()] = down ? 1 : 0;
 }
 
 void FaultInjector::set_partition(std::vector<std::vector<NodeId>> groups) {
@@ -160,7 +163,7 @@ DropReason FaultInjector::classify(const Envelope& env, sim::Rng& rng) {
   // First matching cause wins; checks that consume state (one-shots, the
   // RNG draw) come after the static endpoint checks, so a message that was
   // doomed anyway neither retires a one-shot nor perturbs the loss stream.
-  if (down_nodes_.contains(env.src) || down_nodes_.contains(env.dst)) {
+  if (is_node_down(env.src) || is_node_down(env.dst)) {
     return DropReason::kNodeDown;
   }
   if (!group_of_.empty()) {
@@ -201,7 +204,7 @@ bool FaultInjector::should_drop(const Envelope& env, sim::Rng& rng) {
 }
 
 bool FaultInjector::should_drop_at_delivery(const Envelope& env) {
-  if (!down_nodes_.contains(env.dst)) return false;
+  if (!is_node_down(env.dst)) return false;
   count_drop(DropReason::kNodeDown);
   return true;
 }

@@ -34,7 +34,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/msg_kind.hpp"
@@ -137,7 +136,7 @@ class FaultInjector {
   /// Mark a node as down (fail-silent) / back up.
   void set_node_down(NodeId node, bool down);
   [[nodiscard]] bool is_node_down(NodeId node) const {
-    return down_nodes_.contains(node);
+    return node.index() < down_.size() && down_[node.index()] != 0;
   }
 
   /// Partition the network into groups; messages may only flow within a
@@ -182,7 +181,9 @@ class FaultInjector {
   std::uint64_t duplicates_injected_ = 0;
   bool reorder_active_ = false;
   bool reorder_toggle_ = false;
-  std::unordered_set<NodeId> down_nodes_;
+  /// Down flag by node index, grown by set_node_down: empty, and so one
+  /// compare per probe, until a node first goes down.
+  std::vector<std::uint8_t> down_;
   std::unordered_map<NodeId, int> group_of_;
   std::uint64_t dropped_ = 0;
   std::array<std::uint64_t, kDropReasonCount> dropped_by_reason_{};

@@ -47,8 +47,9 @@ void Network::send(NodeId src, NodeId dst, PayloadPtr payload) {
   env.msg_id = next_msg_id_++;
   env.payload = std::move(payload);
 
+  const std::size_t bytes = env.payload->size_hint();
   ++stats_.sent;
-  stats_.bytes_sent += env.payload->size_hint();
+  stats_.bytes_sent += bytes;
   stats_.sent_by_kind.increment(env.payload->kind().index());
 
   const bool drop = faults_.should_drop(env, rng_);
@@ -58,8 +59,7 @@ void Network::send(NodeId src, NodeId dst, PayloadPtr payload) {
     return;
   }
 
-  const sim::SimTime base =
-      delay_->delay(src, dst, env.payload->size_hint(), rng_);
+  const sim::SimTime base = delay_->delay(src, dst, bytes, rng_);
   // An active reorder window routes alternate frames over a 2x-slower path,
   // making them overtake later sends on the same link; zero when inactive.
   const sim::SimTime latency = base + faults_.reorder_penalty(base);

@@ -51,23 +51,6 @@ void Process::restart() {
   on_restart();
 }
 
-TimerId Process::set_timer(sim::SimTime delay, std::function<void()> fn) {
-  if (!fn) throw std::invalid_argument("Process::set_timer: empty callback");
-  const std::uint64_t tid = next_timer_id_++;
-  // Tag with (owner node, process-local timer id): tid is assigned in
-  // program order by this process, so it is a stable cross-execution
-  // identity for scheduling controllers.
-  sim::EventId ev = simulator().schedule_after(
-      delay,
-      [this, tid, fn = std::move(fn)]() {
-        erase_timer(tid);
-        if (!crashed_) fn();
-      },
-      sim::EventTag{id_.value(), sim::EventClass::kTimer, tid});
-  timers_.emplace_back(tid, ev);
-  return TimerId(tid);
-}
-
 void Process::erase_timer(std::uint64_t tid) {
   for (auto& entry : timers_) {
     if (entry.first == tid) {

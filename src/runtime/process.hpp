@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,8 +79,28 @@ class Process : public net::MessageHandler {
   }
 
   /// Schedule a callback `delay` from now.  Fires only if the process is
-  /// still alive; automatically deregistered after firing.
-  TimerId set_timer(sim::SimTime delay, std::function<void()> fn);
+  /// still alive; automatically deregistered after firing.  The callable is
+  /// captured as is (move-only ones too) in the timer's event closure; an
+  /// empty std::function is rejected.
+  template <typename F>
+  TimerId set_timer(sim::SimTime delay, F&& fn) {
+    if (sim::is_empty_function(fn)) {
+      throw std::invalid_argument("Process::set_timer: empty callback");
+    }
+    const std::uint64_t tid = next_timer_id_++;
+    // Tag with (owner node, process-local timer id): tid is assigned in
+    // program order by this process, so it is a stable cross-execution
+    // identity for scheduling controllers.
+    const sim::EventId ev = simulator().schedule_after(
+        delay,
+        [this, tid, fn = std::forward<F>(fn)]() mutable {
+          erase_timer(tid);
+          if (!crashed_) fn();
+        },
+        sim::EventTag{id_.value(), sim::EventClass::kTimer, tid});
+    timers_.emplace_back(tid, ev);
+    return TimerId(tid);
+  }
 
   /// Cancel a timer if still pending; resets the handle.
   void cancel_timer(TimerId& timer);

@@ -5,26 +5,12 @@
 
 namespace dmx::sim {
 
-EventId Simulator::schedule_at(SimTime t, Callback fn, EventTag tag) {
-  if (t < now_) {
-    throw std::logic_error("Simulator::schedule_at: time is in the past");
-  }
-  if (!fn) {
-    throw std::invalid_argument("Simulator::schedule_at: empty callback");
-  }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].fn = std::move(fn);
-  slots_[slot].time = t;
-  slots_[slot].seq = next_seq_;
-  slots_[slot].tag = tag;
-  const std::uint64_t id = pack(slot, slots_[slot].gen);
+EventId Simulator::enqueue(std::uint32_t slot, SimTime t, EventTag tag) {
+  EventSlot& s = slots_[slot];
+  s.time = t;
+  s.seq = next_seq_;
+  s.tag = tag;
+  const std::uint64_t id = pack(slot, s.gen);
   const Entry entry{t, next_seq_++, id};
   const SimTime delay = t - now_;
   if (Lane* lane = lane_for(delay, t)) {
@@ -52,18 +38,13 @@ Simulator::Lane* Simulator::lane_for(SimTime delay, SimTime t) {
   return free_lane;
 }
 
-void Simulator::Lane::push_back(const Entry& e) {
-  if (size == ring.size()) {
-    // Full: unroll into a ring twice the size, oldest entry first.
-    std::vector<Entry> bigger(ring.empty() ? 64 : 2 * ring.size());
-    for (std::size_t i = 0; i < size; ++i) {
-      bigger[i] = ring[(head + i) & (ring.size() - 1)];
-    }
-    ring.swap(bigger);
-    head = 0;
+void Simulator::Lane::grow() {
+  std::vector<Entry> bigger(ring.empty() ? 64 : 2 * ring.size());
+  for (std::size_t i = 0; i < size; ++i) {
+    bigger[i] = ring[(head + i) & (ring.size() - 1)];
   }
-  ring[(head + size) & (ring.size() - 1)] = e;
-  ++size;
+  ring.swap(bigger);
+  head = 0;
 }
 
 bool Simulator::cancel(EventId id) {

@@ -28,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -77,23 +78,34 @@ class Simulator {
   /// Current virtual time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `t` (must be >= now()).
-  EventId schedule_at(SimTime t, Callback fn) {
-    return schedule_at(t, std::move(fn), EventTag{});
+  /// Schedule `fn` to run at absolute time `t` (must be >= now()), with an
+  /// identity tag that a scheduling controller (collect_pending/fire) can
+  /// inspect.  The callable is built directly in its event slot.  If that
+  /// throws (a copy of an lvalue may), the exception propagates and the
+  /// slot is returned: nothing is scheduled.
+  template <typename F>
+  EventId schedule_at(SimTime t, F&& fn, EventTag tag = {}) {
+    if (t < now_) {
+      throw std::logic_error("Simulator::schedule_at: time is in the past");
+    }
+    const std::uint32_t slot = take_slot();
+    try {
+      slots_[slot].fn.emplace(std::forward<F>(fn));
+    } catch (...) {
+      free_slots_.push_back(slot);
+      throw;
+    }
+    if (!slots_[slot].fn) {
+      free_slots_.push_back(slot);
+      throw std::invalid_argument("Simulator::schedule_at: empty callback");
+    }
+    return enqueue(slot, t, tag);
   }
-
-  /// Schedule `fn` at absolute time `t` with an identity tag that a
-  /// scheduling controller (collect_pending/fire) can inspect.
-  EventId schedule_at(SimTime t, Callback fn, EventTag tag);
 
   /// Schedule `fn` to run `delay` after now() (delay must be >= 0).
-  EventId schedule_after(SimTime delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn), EventTag{});
-  }
-
-  /// Tagged variant of schedule_after.
-  EventId schedule_after(SimTime delay, Callback fn, EventTag tag) {
-    return schedule_at(now_ + delay, std::move(fn), tag);
+  template <typename F>
+  EventId schedule_after(SimTime delay, F&& fn, EventTag tag = {}) {
+    return schedule_at(now_ + delay, std::forward<F>(fn), tag);
   }
 
   /// Cancel a pending event.  Returns true if the event was still pending.
@@ -196,7 +208,13 @@ class Simulator {
       head = (head + 1) & (ring.size() - 1);
       --size;
     }
-    void push_back(const Entry& e);
+    void push_back(const Entry& e) {
+      if (size == ring.size()) grow();
+      ring[(head + size) & (ring.size() - 1)] = e;
+      ++size;
+    }
+    /// Unrolls the ring into one twice the size, oldest entry first.
+    void grow();
   };
 
   /// The benchmark workloads never hold more than two lanes open at once
@@ -227,6 +245,21 @@ class Simulator {
   static constexpr std::uint32_t gen_of(std::uint64_t id) {
     return static_cast<std::uint32_t>(id >> 32);
   }
+
+  /// A vacant slot for a new event, from the free list or appended.
+  std::uint32_t take_slot() {
+    if (free_slots_.empty()) {
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+
+  /// Queues the event whose callback `slot` now holds: fills in the slot's
+  /// time, seq and tag, and pushes its entry onto a lane or the heap.
+  EventId enqueue(std::uint32_t slot, SimTime t, EventTag tag);
 
   /// Vacate a slot: destroy the callback, invalidate outstanding ids, and
   /// make the slot reusable.

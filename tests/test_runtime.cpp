@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "net/delay_model.hpp"
@@ -120,6 +122,29 @@ TEST_F(ClusterTest, TimerFiresOnceAndDeregisters) {
   cluster_->simulator().run();
   EXPECT_EQ(p->timer_fires, 1);
   EXPECT_FALSE(p->timer_pending(t));
+}
+
+TEST_F(ClusterTest, TimerTakesAMoveOnlyCallable) {
+  make(1);
+  cluster_->start();
+  auto* p = probes_[0];
+  p->set_timer(sim::SimTime::units(1.0),
+               [p, box = std::make_unique<int>(7)] {
+                 p->notes.push_back(*box);
+                 ++p->timer_fires;
+               });
+  cluster_->simulator().run();
+  EXPECT_EQ(p->timer_fires, 1);
+  EXPECT_EQ(p->notes, std::vector<int>{7});
+}
+
+TEST_F(ClusterTest, EmptyTimerCallbackThrows) {
+  make(1);
+  cluster_->start();
+  EXPECT_THROW(probes_[0]->set_timer(sim::SimTime::units(1.0),
+                                     std::function<void()>{}),
+               std::invalid_argument);
+  EXPECT_EQ(cluster_->simulator().pending_count(), 0u);
 }
 
 TEST_F(ClusterTest, CancelledTimerDoesNotFire) {

@@ -139,6 +139,65 @@ TEST(Simulator, EmptyCallbackThrows) {
                std::invalid_argument);
 }
 
+/// A callable whose copy constructor throws.
+struct ThrowingCopy {
+  int* fired;
+  explicit ThrowingCopy(int* f) : fired(f) {}
+  ThrowingCopy(const ThrowingCopy&) { throw std::runtime_error("no copies"); }
+  ThrowingCopy(ThrowingCopy&&) noexcept = default;
+  void operator()() const { ++*fired; }
+};
+
+TEST(Simulator, ThrowingCopyOfAnLvalueSchedulesNothing) {
+  // Two kernels see the same operations, except that `sim` is also handed
+  // an lvalue whose copy throws: once while a cancelled event's slot is on
+  // the free list, once when a new slot must be appended.  The exception
+  // must propagate and leave nothing behind: the same pending events, the
+  // same ids for later events (no slot leaked) and the same firing order.
+  Simulator sim;
+  Simulator twin;
+  std::vector<int> order;
+  std::vector<int> twin_order;
+  int fired = 0;
+  const ThrowingCopy throwing(&fired);
+  const auto schedule = [](Simulator& k, std::vector<int>& out, double t) {
+    return k.schedule_at(SimTime::units(t), [&out, t] {
+      out.push_back(static_cast<int>(t));
+    });
+  };
+  for (auto [k, out] :
+       {std::pair{&sim, &order}, std::pair{&twin, &twin_order}}) {
+    schedule(*k, *out, 2.0);
+    const EventId gone = schedule(*k, *out, 3.0);
+    schedule(*k, *out, 1.0);
+    k->cancel(gone);
+  }
+  EXPECT_THROW(sim.schedule_at(SimTime::units(0.5), throwing),
+               std::runtime_error);
+  EXPECT_EQ(schedule(sim, order, 4.0), schedule(twin, twin_order, 4.0));
+  EXPECT_THROW(sim.schedule_after(SimTime::units(0.5), throwing,
+                                  EventTag{0, EventClass::kTimer, 9}),
+               std::runtime_error);
+  EXPECT_EQ(sim.pending_count(), 3u);
+  EXPECT_EQ(sim.pending_count(), twin.pending_count());
+  std::vector<PendingEvent> pending;
+  std::vector<PendingEvent> twin_pending;
+  sim.collect_pending(pending);
+  twin.collect_pending(twin_pending);
+  ASSERT_EQ(pending.size(), twin_pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    EXPECT_EQ(pending[i].id, twin_pending[i].id);
+    EXPECT_EQ(pending[i].time, twin_pending[i].time);
+    EXPECT_EQ(pending[i].seq, twin_pending[i].seq);
+  }
+  EXPECT_EQ(schedule(sim, order, 5.0), schedule(twin, twin_order, 5.0));
+  sim.run();
+  twin.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5}));
+  EXPECT_EQ(order, twin_order);
+  EXPECT_EQ(fired, 0);
+}
+
 TEST(Simulator, ZeroDelayFiresAtCurrentTime) {
   Simulator sim;
   SimTime when = SimTime::max();
