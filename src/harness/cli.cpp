@@ -97,7 +97,8 @@ namespace {
 /// service-wide aggregates, and --emit-json embeds the full per-shard
 /// scorecard in the dmx.run.v1 manifest's lock_service block.
 int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
-                         std::shared_ptr<obs::Sink> trace_sink) {
+                         std::shared_ptr<obs::Sink> trace_sink,
+                         std::ostream& manifest) {
   // The scenario knobs ride the standard ExperimentConfig so the manifest
   // record is self-describing and validation is uniform.
   ExperimentConfig cfg;
@@ -206,11 +207,6 @@ int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
           std::max(result.sim_duration_units, s.sim_duration_units);
     }
     result.lock_service = std::make_shared<const LockServiceReport>(report);
-    std::ofstream manifest(opts.emit_json);
-    if (!manifest) {
-      os << "cannot open --emit-json file '" << opts.emit_json << "'\n";
-      return 2;
-    }
     write_run_manifest(manifest, {RunRecord{cfg, result}});
   }
   return report.drained && report.safety_violations == 0 ? 0 : 1;
@@ -401,9 +397,10 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
     return 0;
   }
-  // File streams must outlive the sinks writing to them: the Chrome-trace
-  // sink closes its JSON envelope in its destructor, so trace_file is
-  // declared first and destroyed last.
+  // Both output files are opened before any run, so a bad path fails at
+  // once instead of after the sweep.  File streams must outlive the sinks
+  // writing to them: the Chrome-trace sink closes its JSON envelope in its
+  // destructor, so trace_file is declared first and destroyed last.
   std::ofstream trace_file;
   std::shared_ptr<obs::Sink> trace_sink;
   if (!opts.trace_out.empty()) {
@@ -414,11 +411,19 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
     trace_sink = obs::make_format_sink(opts.trace_format, trace_file);
   }
+  std::ofstream manifest;
+  if (!opts.emit_json.empty()) {
+    manifest.open(opts.emit_json);
+    if (!manifest) {
+      os << "cannot open --emit-json file '" << opts.emit_json << "'\n";
+      return 2;
+    }
+  }
 
   if (opts.n_resources > 1) {
     // Sharded lock-service scenario: one Zipf-split run, not a lambda
     // sweep.  The trace sink (if any) captures the hottest shard.
-    return run_lock_service_cli(opts, os, std::move(trace_sink));
+    return run_lock_service_cli(opts, os, std::move(trace_sink), manifest);
   }
 
   const bool chaos = !opts.fault_plan.empty();
@@ -584,14 +589,7 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
   for (const auto& report : stall_reports) {
     os << "\n" << report << "\n";
   }
-  if (!opts.emit_json.empty()) {
-    std::ofstream manifest(opts.emit_json);
-    if (!manifest) {
-      os << "cannot open --emit-json file '" << opts.emit_json << "'\n";
-      return 2;
-    }
-    write_run_manifest(manifest, records);
-  }
+  if (!opts.emit_json.empty()) write_run_manifest(manifest, records);
   return sound ? 0 : 1;
 }
 

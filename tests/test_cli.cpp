@@ -205,6 +205,24 @@ TEST(Cli, ManifestKeepsStringParams) {
       << text.str();
 }
 
+TEST(Cli, UnwritableManifestFailsBeforeTheSweep) {
+  // dmx_sweep --emit-json MISSING_DIR/run.json, on the lambda-sweep path
+  // and on the lock-service path (--resources 8): exit 2 with no table.
+  const std::filesystem::path manifest =
+      std::filesystem::temp_directory_path() /
+      ("dmx_cli_missing_" + std::to_string(::getpid())) / "run.json";
+  for (const std::string resources : {"1", "8"}) {
+    const CliOptions o =
+        parse({"--n", "4", "--requests", "200", "--seeds", "1",
+               "--resources", resources, "--emit-json", manifest.string()});
+    std::ostringstream os;
+    EXPECT_EQ(run_cli(o, os), 2) << "--resources " << resources;
+    EXPECT_EQ(os.str(),
+              "cannot open --emit-json file '" + manifest.string() + "'\n");
+  }
+  EXPECT_FALSE(std::filesystem::exists(manifest.parent_path()));
+}
+
 TEST(Cli, RunCsvMode) {
   CliOptions o;
   o.lambdas = {0.5};
