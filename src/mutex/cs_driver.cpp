@@ -65,6 +65,7 @@ void CsDriver::finish() {
   in_cs_ = false;
   outstanding_ = false;
   ++completed_;
+  last_completion_ = sim_.now();
   response_time_.add(granted_at_.to_units() - current_.issued_at.to_units());
   service_time_.add(sim_.now().to_units() - current_.issued_at.to_units());
   sojourn_time_.add(sim_.now().to_units() - current_.submitted_at.to_units());

@@ -59,6 +59,10 @@ class CsDriver final : private CsListener {
   // --- metrics ------------------------------------------------------------
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
+  /// When the last critical section ended (zero before the first).
+  [[nodiscard]] sim::SimTime last_completion() const {
+    return last_completion_;
+  }
   [[nodiscard]] std::uint64_t aborted_by_crash() const { return aborted_; }
   [[nodiscard]] std::uint64_t spurious_grants() const { return spurious_; }
   [[nodiscard]] bool idle() const { return !outstanding_ && queue_.empty(); }
@@ -114,6 +118,7 @@ class CsDriver final : private CsListener {
 
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
+  sim::SimTime last_completion_;
   std::uint64_t aborted_ = 0;
   std::uint64_t spurious_ = 0;
   std::uint64_t next_sequence_ = 1;

@@ -1,5 +1,6 @@
 #include "mutex/progress_monitor.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -30,7 +31,6 @@ void ProgressMonitor::start() {
   if (running_) return;
   running_ = true;
   last_progress_ = sim_.now();
-  last_completed_ = total_completed();
   schedule_next();
 }
 
@@ -40,10 +40,12 @@ void ProgressMonitor::stop() {
   next_check_ = sim::EventId{};
 }
 
-std::uint64_t ProgressMonitor::total_completed() const {
-  std::uint64_t done = 0;
-  for (const Watched& w : watched_) done += w.driver->completed();
-  return done;
+sim::SimTime ProgressMonitor::last_completion() const {
+  sim::SimTime last = sim::SimTime::zero();
+  for (const Watched& w : watched_) {
+    last = std::max(last, w.driver->last_completion());
+  }
+  return last;
 }
 
 bool ProgressMonitor::pending_live_demand() const {
@@ -60,11 +62,9 @@ void ProgressMonitor::schedule_next() {
 void ProgressMonitor::check() {
   if (!running_) return;
   ++checks_;
-  const std::uint64_t done = total_completed();
-  if (done > last_completed_) {
-    last_completed_ = done;
-    last_progress_ = sim_.now();
-  }
+  // Progress dates from the completion itself, not from the poll that
+  // noticed it, so a stall is declared on time and dated right.
+  last_progress_ = std::max(last_progress_, last_completion());
   if (!pending_live_demand()) {
     last_progress_ = sim_.now();
     // Quiet system: with no other pending event, future demand is impossible

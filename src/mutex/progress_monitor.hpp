@@ -83,7 +83,8 @@ class ProgressMonitor {
   void check();
   void schedule_next();
   void declare_stall(bool event_queue_dry);
-  [[nodiscard]] std::uint64_t total_completed() const;
+  /// When the last critical section of any watched driver ended.
+  [[nodiscard]] sim::SimTime last_completion() const;
   [[nodiscard]] bool pending_live_demand() const;
 
   sim::Simulator& sim_;
@@ -92,7 +93,7 @@ class ProgressMonitor {
   bool running_ = false;
   bool stalled_ = false;
   std::uint64_t checks_ = 0;
-  std::uint64_t last_completed_ = 0;
+  /// The last CS completion, or the last poll that found no live demand.
   sim::SimTime last_progress_;
   sim::SimTime stall_time_;
   std::string diagnosis_;
