@@ -1,7 +1,7 @@
 // google-benchmark micro benchmarks of the simulation substrate, so users
 // can size their own sweeps: event-queue throughput (heap and broadcast
-// fan-out), network send/deliver cost, one reliable-transport frame,
-// kind-table message dispatch, per-type stats counters, trace emission, and
+// fan-out), network send/deliver cost, one reliable-transport frame and one
+// reliable broadcast, kind-table message dispatch, per-type stats counters, trace emission, and
 // an end-to-end simulated-CS rate for the core algorithm.
 #include <benchmark/benchmark.h>
 
@@ -138,6 +138,43 @@ void BM_ReliableSendDeliver(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ReliableSendDeliver);
+
+// One broadcast per iteration from one endpoint to N-1 warmed peer
+// endpoints, run to drain: N-1 RT-DATA frames with their RTO timers,
+// deliveries, delayed acks, standalone RT-ACKs and retirements.  This is
+// the path a NEW-ARBITER broadcast takes; unlike the two-endpoint bench
+// above it touches N-1 peer states per iteration, so it sees their layout.
+void BM_ReliableBroadcast(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dmx::sim::Simulator sim;
+  dmx::net::Network net(
+      sim, n,
+      std::make_unique<dmx::net::ConstantDelay>(dmx::sim::SimTime::units(0.1)),
+      1);
+  const auto cfg = dmx::net::ReliableTransportConfig::scaled_to(
+      dmx::sim::SimTime::units(0.1));
+  std::vector<NullHandler> handlers(n);
+  std::vector<std::unique_ptr<dmx::net::ReliableEndpoint>> endpoints;
+  for (std::size_t i = 0; i < n; ++i) {
+    const dmx::net::NodeId id{static_cast<std::int32_t>(i)};
+    endpoints.push_back(std::make_unique<dmx::net::ReliableEndpoint>(
+        net, id, handlers[i], cfg, 100 + i));
+    net.attach(id, endpoints.back().get());
+  }
+  const dmx::net::NodeId src{0};
+  const auto payload = dmx::net::make_payload<PingPayload>();
+  // First contact materializes every peer state outside the timed loop.
+  endpoints[0]->broadcast(src, payload);
+  sim.run();
+  for (auto _ : state) {
+    endpoints[0]->broadcast(src, payload);
+    sim.run();
+  }
+  benchmark::DoNotOptimize(handlers[n - 1].count);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n - 1));
+}
+BENCHMARK(BM_ReliableBroadcast)->Arg(1000);
 
 // --- message dispatch through the kind-indexed table ------------------------
 //

@@ -63,7 +63,7 @@ ReliableEndpoint::ReliableEndpoint(Network& net, NodeId self,
 ReliableEndpoint::PeerState& ReliableEndpoint::peer_state(NodeId peer) {
   if (!index_.empty()) {
     const IndexSlot& slot = find_slot(peer);
-    if (slot.peer == peer.value()) return peers_[slot.pos];
+    if (slot.peer == peer.value()) return state_at(slot.pos);
   }
   return add_peer(peer);
 }
@@ -82,24 +82,80 @@ ReliableEndpoint::IndexSlot& ReliableEndpoint::find_slot(NodeId peer) {
 }
 
 ReliableEndpoint::PeerState& ReliableEndpoint::add_peer(NodeId peer) {
-  PeerState& ps = peers_.emplace_back();
-  ps.peer = peer;
-  ps.rto = cfg_.rto_initial;
-  if (2 * peers_.size() > index_.size()) {
-    // Rebuild at twice the size (8 slots at first) from peers_, which now
-    // holds the new peer too.
-    const std::size_t size = std::max<std::size_t>(8, 2 * index_.size());
-    index_.assign(size, IndexSlot{});
-    index_shift_ = 64 - std::countr_zero(size);
-    for (std::size_t pos = 0; pos < peers_.size(); ++pos) {
-      find_slot(peers_[pos].peer) = IndexSlot{
-          peers_[pos].peer.value(), static_cast<std::uint32_t>(pos)};
-    }
-  } else {
-    find_slot(peer) = IndexSlot{
-        peer.value(), static_cast<std::uint32_t>(peers_.size() - 1)};
+  const std::uint32_t pos = peer_count_;
+  if (pos == blocks_.size() * kBlockSize) {
+    blocks_.push_back(std::make_unique<PeerState[]>(kBlockSize));
   }
+  if (4 * (std::size_t{pos} + 1) > 3 * index_.size()) {
+    // Rebuild at twice the size (8 slots at first) from the old slots.
+    std::vector<IndexSlot> old(std::max<std::size_t>(8, 2 * index_.size()));
+    old.swap(index_);
+    index_shift_ = 64 - std::countr_zero(index_.size());
+    for (const IndexSlot& slot : old) {
+      if (slot.peer >= 0) find_slot(NodeId{slot.peer}) = slot;
+    }
+  }
+  find_slot(peer) = IndexSlot{peer.value(), pos};
+  ++peer_count_;
+  PeerState& ps = state_at(pos);
+  ps.peer = peer;
   return ps;
+}
+
+void ReliableEndpoint::push_frame(PeerState& ps, std::uint64_t seq,
+                                  PayloadPtr inner) {
+  std::uint32_t f = free_frame_;
+  if (f != kNoFrame) {
+    free_frame_ = frames_[f].next;
+  } else {
+    f = static_cast<std::uint32_t>(frames_.size());
+    frames_.emplace_back();
+  }
+  Frame& frame = frames_[f];
+  frame.seq = seq;
+  frame.inner = std::move(inner);
+  frame.retries = 0;
+  frame.next = kNoFrame;
+  (ps.tail == kNoFrame ? ps.head : frames_[ps.tail].next) = f;
+  ps.tail = f;
+}
+
+void ReliableEndpoint::release_frame(std::uint32_t f) {
+  frames_[f].inner.reset();
+  frames_[f].next = free_frame_;
+  free_frame_ = f;
+}
+
+std::size_t ReliableEndpoint::clear_window(PeerState& ps) {
+  std::size_t n = 0;
+  for (std::uint32_t f = ps.head; f != kNoFrame; ++n) {
+    const std::uint32_t next = frames_[f].next;
+    release_frame(f);
+    f = next;
+  }
+  ps.head = kNoFrame;
+  ps.tail = kNoFrame;
+  return n;
+}
+
+std::size_t ReliableEndpoint::window_size(const PeerState& ps) const {
+  std::size_t n = 0;
+  for (std::uint32_t f = ps.head; f != kNoFrame; f = frames_[f].next) ++n;
+  return n;
+}
+
+ReliableEndpoint::Parked::const_iterator ReliableEndpoint::first_parked(
+    NodeId peer) const {
+  const auto it = parked_.lower_bound(ParkKey{peer.value(), 0});
+  return it != parked_.end() && it->first.first == peer.value()
+             ? it
+             : parked_.end();
+}
+
+void ReliableEndpoint::drop_parked(NodeId peer) {
+  if (parked_.empty()) return;
+  parked_.erase(parked_.lower_bound(ParkKey{peer.value(), 0}),
+                parked_.upper_bound(ParkKey{peer.value(), UINT64_MAX}));
 }
 
 void ReliableEndpoint::emit(obs::EventKind kind, NodeId peer,
@@ -121,9 +177,10 @@ void ReliableEndpoint::send(NodeId src, NodeId dst, PayloadPtr payload) {
     return;
   }
   PeerState& ps = peer_state(dst);
-  ps.window.push_back(Unacked{ps.next_seq++, std::move(payload), 0});
+  const std::uint64_t seq = ps.next_seq++;
+  push_frame(ps, seq, std::move(payload));
   ++stats_.data_sent;
-  transmit(ps, ps.window.back(), /*is_retransmit=*/false);
+  transmit(ps, seq, frames_[ps.tail].inner, /*is_retransmit=*/false);
   if (!ps.rto_event.valid() || !sim_.pending(ps.rto_event)) arm_rto(ps);
 }
 
@@ -135,8 +192,8 @@ void ReliableEndpoint::broadcast(NodeId src, const PayloadPtr& payload) {
   }
 }
 
-void ReliableEndpoint::transmit(PeerState& ps, const Unacked& u,
-                                bool is_retransmit) {
+void ReliableEndpoint::transmit(PeerState& ps, std::uint64_t seq,
+                                const PayloadPtr& inner, bool is_retransmit) {
   // Piggyback the reverse-path ack state; a pending delayed ack becomes
   // redundant the moment this frame leaves.
   if (ps.ack_event.valid()) {
@@ -144,9 +201,9 @@ void ReliableEndpoint::transmit(PeerState& ps, const Unacked& u,
     ps.ack_event = sim::EventId{};
   }
   net_.send(self_, ps.peer,
-            make_payload<RtData>(epoch_, ps.peer_epoch, ps.tx_gen, u.seq,
+            make_payload<RtData>(epoch_, ps.peer_epoch, ps.tx_gen, seq,
                                  ps.cum, sack_mask(ps), ps.rx_gen,
-                                 is_retransmit, u.inner));
+                                 is_retransmit, inner));
 }
 
 void ReliableEndpoint::on_message(const Envelope& env) {
@@ -169,12 +226,12 @@ ReliableEndpoint::PeerState& ReliableEndpoint::note_peer_epoch(
   // incarnation that no longer exists.  Fence — abandon, never replay — and
   // restart the sequence space, matching the fresh rx state the new
   // incarnation holds for us.
-  emit(kEvRtFence, peer, static_cast<double>(ps.window.size()));
-  stats_.abandoned += ps.window.size();
-  ps.window.clear();
+  const std::size_t fenced = clear_window(ps);
+  emit(kEvRtFence, peer, static_cast<double>(fenced));
+  stats_.abandoned += fenced;
   ps.next_seq = 1;
   ps.tx_gen = 1;
-  ps.rto = cfg_.rto_initial;
+  ps.backoffs = 0;
   if (ps.rto_event.valid()) {
     sim_.cancel(ps.rto_event);
     ps.rto_event = sim::EventId{};
@@ -191,7 +248,7 @@ ReliableEndpoint::PeerState& ReliableEndpoint::note_peer_epoch(
   ps.rx_epoch = e;
   ps.rx_gen = 0;
   ps.cum = 0;
-  ps.buffer.clear();
+  drop_parked(peer);
   if (ps.ack_event.valid()) {
     sim_.cancel(ps.ack_event);
     ps.ack_event = sim::EventId{};
@@ -222,7 +279,7 @@ void ReliableEndpoint::handle_data(const Envelope& env, const RtData& d) {
     ps.rx_epoch = d.src_epoch;
     ps.rx_gen = d.gen;
     ps.cum = 0;
-    ps.buffer.clear();
+    drop_parked(ps.peer);
   } else if (d.gen != ps.rx_gen) {
     if (d.gen < ps.rx_gen) {  // Pre-abandonment straggler: dead stream.
       ++stats_.stale_dropped;
@@ -234,7 +291,7 @@ void ReliableEndpoint::handle_data(const Envelope& env, const RtData& d) {
     // deliverable).
     ps.rx_gen = d.gen;
     ps.cum = 0;
-    ps.buffer.clear();
+    drop_parked(ps.peer);
   }
 
   // Piggybacked ack, valid only for the exact stream our window belongs to:
@@ -243,7 +300,8 @@ void ReliableEndpoint::handle_data(const Envelope& env, const RtData& d) {
     apply_ack(ps, d.cum_ack, d.sack_mask);
   }
 
-  if (d.seq <= ps.cum || ps.buffer.contains(d.seq)) {
+  if (d.seq <= ps.cum ||
+      (!parked_.empty() && parked_.contains(ParkKey{ps.peer.value(), d.seq}))) {
     // Duplicate (fault-injected copy, or a retransmission whose original
     // got through).  Suppress, but still ack: the sender may be resending
     // precisely because our ack was lost.
@@ -256,7 +314,8 @@ void ReliableEndpoint::handle_data(const Envelope& env, const RtData& d) {
   if (d.seq != ps.cum + 1) {
     // Out of order: park the frame behind the gap.
     ++stats_.reorder_buffered;
-    ps.buffer.emplace(d.seq, Buffered{d.inner, env.sent_at, env.msg_id});
+    parked_.emplace(ParkKey{ps.peer.value(), d.seq},
+                    Buffered{d.inner, env.sent_at, env.msg_id});
   } else {
     // In order: straight up, then whatever was parked behind the gap this
     // frame filled.  The common case never touches the reorder buffer.
@@ -282,10 +341,10 @@ void ReliableEndpoint::deliver(const PeerState& ps, PayloadPtr inner,
 
 void ReliableEndpoint::deliver_ready(PeerState& ps) {
   // down_: the upcall may have crashed us (test harnesses).
-  while (!down_ && !ps.buffer.empty() &&
-         ps.buffer.begin()->first == ps.cum + 1) {
-    Buffered b = std::move(ps.buffer.begin()->second);
-    ps.buffer.erase(ps.buffer.begin());
+  while (!down_ && !parked_.empty()) {
+    const auto it = first_parked(ps.peer);
+    if (it == parked_.end() || it->first.second != ps.cum + 1) return;
+    Buffered b = std::move(parked_.extract(it).mapped());
     ++ps.cum;
     deliver(ps, std::move(b.inner), b.sent_at, b.msg_id);
   }
@@ -308,31 +367,47 @@ void ReliableEndpoint::handle_ack(NodeId peer, const RtAck& a) {
 void ReliableEndpoint::apply_ack(PeerState& ps, std::uint64_t cum,
                                  std::uint64_t sack) {
   // The window is in seq order: retire the cumulatively acked prefix.
-  const auto acked = std::find_if(
-      ps.window.begin(), ps.window.end(),
-      [cum](const Unacked& u) { return u.seq > cum; });
-  bool progress = acked != ps.window.begin();
-  ps.window.erase(ps.window.begin(), acked);
+  bool progress = false;
+  while (ps.head != kNoFrame && frames_[ps.head].seq <= cum) {
+    const std::uint32_t f = ps.head;
+    ps.head = frames_[f].next;
+    release_frame(f);
+    progress = true;
+  }
+  if (ps.head == kNoFrame) ps.tail = kNoFrame;
   if (sack != 0) {
-    const auto sacked = [&](const Unacked& u) {
-      return u.seq > cum && u.seq <= cum + 64 &&
-             ((sack >> (u.seq - cum - 1)) & 1) != 0;
-    };
-    const auto n = std::erase_if(ps.window, sacked);
-    progress = progress || n > 0;
+    // Unlink the selectively acked frames; the last one kept is the tail.
+    std::uint32_t kept = kNoFrame;
+    for (std::uint32_t f = ps.head; f != kNoFrame;) {
+      const std::uint64_t seq = frames_[f].seq;
+      const std::uint32_t next = frames_[f].next;
+      if (seq > cum && seq <= cum + 64 &&
+          ((sack >> (seq - cum - 1)) & 1) != 0) {
+        (kept == kNoFrame ? ps.head : frames_[kept].next) = next;
+        release_frame(f);
+        progress = true;
+      } else {
+        kept = f;
+      }
+      f = next;
+    }
+    ps.tail = kept;
   }
   if (!progress) return;
-  ps.rto = cfg_.rto_initial;
+  ps.backoffs = 0;
   if (ps.rto_event.valid()) {
     sim_.cancel(ps.rto_event);
     ps.rto_event = sim::EventId{};
   }
-  if (!ps.window.empty()) arm_rto(ps);
+  if (ps.head != kNoFrame) arm_rto(ps);
 }
 
 std::uint64_t ReliableEndpoint::sack_mask(const PeerState& ps) const {
   std::uint64_t mask = 0;
-  for (const auto& [seq, b] : ps.buffer) {
+  if (parked_.empty()) return mask;
+  for (auto it = first_parked(ps.peer);
+       it != parked_.end() && it->first.first == ps.peer.value(); ++it) {
+    const std::uint64_t seq = it->first.second;
     if (seq > ps.cum + 64) break;  // Map iterates in seq order.
     mask |= 1ULL << (seq - ps.cum - 1);
   }
@@ -342,7 +417,7 @@ std::uint64_t ReliableEndpoint::sack_mask(const PeerState& ps) const {
 void ReliableEndpoint::schedule_ack(PeerState& ps) {
   if (down_) return;  // Never arm a timer on a crashed endpoint.
   if (ps.ack_event.valid() && sim_.pending(ps.ack_event)) return;
-  // Timer callbacks hold the PeerState itself: peers_ never moves it.
+  // Timer callbacks hold the PeerState itself: blocks_ never move it.
   ps.ack_event = sim_.schedule_after(
       cfg_.ack_delay, [this, &ps] { send_standalone_ack(ps); },
       sim::EventTag{self_.value(), sim::EventClass::kTimer,
@@ -362,7 +437,7 @@ void ReliableEndpoint::arm_rto(PeerState& ps) {
   // Seeded jitter decorrelates retransmit bursts across endpoints without
   // breaking determinism (each endpoint owns a forked Rng).
   const sim::SimTime delay =
-      ps.rto.scaled(1.0 + cfg_.jitter_frac * rng_.uniform01());
+      rto(ps).scaled(1.0 + cfg_.jitter_frac * rng_.uniform01());
   ps.rto_event = sim_.schedule_after(
       delay, [this, &ps] { on_rto(ps); },
       sim::EventTag{self_.value(), sim::EventClass::kTimer, next_timer_id_++});
@@ -371,9 +446,9 @@ void ReliableEndpoint::arm_rto(PeerState& ps) {
 void ReliableEndpoint::on_rto(PeerState& ps) {
   if (down_) return;
   ps.rto_event = sim::EventId{};
-  if (ps.window.empty()) return;
+  if (ps.head == kNoFrame) return;
 
-  if (ps.window.front().retries >= cfg_.max_retries) {
+  if (frames_[ps.head].retries >= cfg_.max_retries) {
     // Retry cap: presume the peer dead and abandon everything outstanding,
     // restarting the stream under a new generation.  If the peer was in
     // fact alive behind a long loss window, its rx state holds a sequence
@@ -382,29 +457,34 @@ void ReliableEndpoint::on_rto(PeerState& ps) {
     // itself once loss heals instead of buffering every later frame
     // forever.  If the peer really is dead, the eventual epoch exchange
     // resynchronises as before.
-    emit(kEvRtAbandon, ps.peer, static_cast<double>(ps.window.size()));
-    stats_.abandoned += ps.window.size();
-    ps.window.clear();
+    const std::size_t abandoned = clear_window(ps);
+    emit(kEvRtAbandon, ps.peer, static_cast<double>(abandoned));
+    stats_.abandoned += abandoned;
     ++ps.tx_gen;
     ps.next_seq = 1;
-    ps.rto = cfg_.rto_initial;
+    ps.backoffs = 0;
     return;
   }
-  emit(kEvRtRetransmit, ps.peer, static_cast<double>(ps.window.size()));
-  for (auto& u : ps.window) {
+  emit(kEvRtRetransmit, ps.peer, static_cast<double>(window_size(ps)));
+  for (std::uint32_t f = ps.head; f != kNoFrame; f = frames_[f].next) {
+    Frame& u = frames_[f];
     ++u.retries;
     ++stats_.retransmits;
     stats_.retrans_by_kind.increment(u.inner->kind().index());
-    transmit(ps, u, /*is_retransmit=*/true);
+    transmit(ps, u.seq, u.inner, /*is_retransmit=*/true);
   }
-  const sim::SimTime backed = ps.rto.scaled(cfg_.backoff_factor);
-  ps.rto = std::min(backed, cfg_.rto_max);
+  if (ps.backoffs == rto_ladder_.size()) {
+    rto_ladder_.push_back(
+        std::min(rto(ps).scaled(cfg_.backoff_factor), cfg_.rto_max));
+  }
+  ++ps.backoffs;
   arm_rto(ps);
 }
 
 void ReliableEndpoint::on_crash() {
   down_ = true;
-  for (PeerState& ps : peers_) {
+  for (std::uint32_t pos = 0; pos < peer_count_; ++pos) {
+    PeerState& ps = state_at(pos);
     if (ps.rto_event.valid()) sim_.cancel(ps.rto_event);
     if (ps.ack_event.valid()) sim_.cancel(ps.ack_event);
     ps.rto_event = sim::EventId{};
@@ -414,21 +494,21 @@ void ReliableEndpoint::on_crash() {
 
 void ReliableEndpoint::on_restart() {
   ++epoch_;
-  for (PeerState& ps : peers_) {
+  for (std::uint32_t pos = 0; pos < peer_count_; ++pos) {
+    PeerState& ps = state_at(pos);
     // The old incarnation's outbound state dies with it...
-    stats_.abandoned += ps.window.size();
-    ps.window.clear();
+    stats_.abandoned += clear_window(ps);
     ps.next_seq = 1;
     ps.tx_gen = 1;
-    ps.rto = cfg_.rto_initial;
+    ps.backoffs = 0;
     // ...and so does its receive state: rx_epoch 0 re-adopts whatever the
     // peer sends next.  peer_epoch survives — it is knowledge about the
     // *peer*, and keeping it avoids a gratuitous fence round-trip.
     ps.rx_epoch = 0;
     ps.rx_gen = 0;
     ps.cum = 0;
-    ps.buffer.clear();
   }
+  parked_.clear();
   down_ = false;
 }
 

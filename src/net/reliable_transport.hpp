@@ -45,9 +45,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -184,39 +185,50 @@ class ReliableEndpoint final : public Transport, public MessageHandler {
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
  private:
-  struct Unacked {
-    std::uint64_t seq;
+  static constexpr std::uint32_t kNoFrame = UINT32_MAX;
+
+  /// One unacked frame in the endpoint's frame pool: either on exactly one
+  /// peer's window, linked in seq order through `next`, or on the free list.
+  struct Frame {
+    std::uint64_t seq = 0;
     PayloadPtr inner;
-    int retries = 0;
+    std::int32_t retries = 0;
+    std::uint32_t next = kNoFrame;
   };
   struct Buffered {
     PayloadPtr inner;
     sim::SimTime sent_at;
     std::uint64_t msg_id;
   };
-  struct PeerState {
+  /// What a loss-free frame to or from one peer touches, in one cache
+  /// line.  The window is a run of frames_ from head to tail, the reorder
+  /// buffer is the peer's run of parked_, and the current timeout is
+  /// rto(ps).
+  struct alignas(64) PeerState {
     NodeId peer;
     // --- transmit side.
     std::uint32_t peer_epoch = 1;  ///< Our view of the peer's incarnation.
     std::uint32_t tx_gen = 1;  ///< Our stream generation (bumps on abandon).
+    std::uint32_t head = kNoFrame;  ///< Oldest unacked frame, or kNoFrame.
+    std::uint32_t tail = kNoFrame;  ///< Newest unacked frame, or kNoFrame.
+    std::uint32_t backoffs = 0;  ///< Timeouts since the RTO last reset.
     std::uint64_t next_seq = 1;
-    /// Unacked frames in seq order.  Usually one or two deep, so retiring
-    /// from the front is cheap, and an empty vector owns no heap block.
-    std::vector<Unacked> window;
-    sim::SimTime rto;  ///< Current timeout (backs off; resets on progress).
     sim::EventId rto_event;
     // --- receive side.
     std::uint32_t rx_epoch = 0;  ///< Incarnation this rx state belongs to.
     std::uint32_t rx_gen = 0;    ///< Generation of the peer stream we track.
     std::uint64_t cum = 0;       ///< Highest contiguously delivered seq.
-    /// Out-of-order frames only: an in-order frame goes straight up.
-    std::map<std::uint64_t, Buffered> buffer;
     sim::EventId ack_event;      ///< Pending delayed-ack timer.
   };
+  static_assert(sizeof(PeerState) == 64, "one peer, one cache line");
   struct IndexSlot {
     std::int32_t peer = -1;  ///< -1 marks an empty slot.
-    std::uint32_t pos = 0;   ///< Position in peers_.
+    std::uint32_t pos = 0;   ///< First-contact position of the PeerState.
   };
+  /// Parked frames are keyed by (peer id, seq): one peer's buffer is a
+  /// contiguous run of the map, in seq order.
+  using ParkKey = std::pair<std::int32_t, std::uint64_t>;
+  using Parked = std::map<ParkKey, Buffered>;
 
   void handle_data(const Envelope& env, const RtData& d);
   void handle_ack(NodeId peer, const RtAck& a);
@@ -238,7 +250,8 @@ class ReliableEndpoint final : public Transport, public MessageHandler {
                std::uint64_t msg_id);
   /// Deliver the parked frames that have become contiguous.
   void deliver_ready(PeerState& ps);
-  void transmit(PeerState& ps, const Unacked& u, bool is_retransmit);
+  void transmit(PeerState& ps, std::uint64_t seq, const PayloadPtr& inner,
+                bool is_retransmit);
   void schedule_ack(PeerState& ps);
   void send_standalone_ack(PeerState& ps);
   void arm_rto(PeerState& ps);
@@ -246,11 +259,31 @@ class ReliableEndpoint final : public Transport, public MessageHandler {
   void emit(obs::EventKind kind, NodeId peer, double value) const;
   [[nodiscard]] std::uint64_t sack_mask(const PeerState& ps) const;
 
+  /// Window operations on the frame pool.  clear_window returns the number
+  /// of frames it dropped.
+  void push_frame(PeerState& ps, std::uint64_t seq, PayloadPtr inner);
+  void release_frame(std::uint32_t f);
+  std::size_t clear_window(PeerState& ps);
+  [[nodiscard]] std::size_t window_size(const PeerState& ps) const;
+
+  /// The first frame parked for `peer`, or parked_.end().
+  [[nodiscard]] Parked::const_iterator first_parked(NodeId peer) const;
+  void drop_parked(NodeId peer);
+
+  /// The peer's current timeout: rto_initial, or the rung of rto_ladder_
+  /// its consecutive timeouts have climbed to.
+  [[nodiscard]] sim::SimTime rto(const PeerState& ps) const {
+    return ps.backoffs == 0 ? cfg_.rto_initial : rto_ladder_[ps.backoffs - 1];
+  }
+
   /// Per-peer state materializes on first contact: a node talks to O(active
   /// peers), not O(N), so a 100k-node cluster is not forced into N^2
   /// PeerStates at construction.
   PeerState& peer_state(NodeId peer);
   PeerState& add_peer(NodeId peer);
+  PeerState& state_at(std::uint32_t pos) {
+    return blocks_[pos >> kBlockShift][pos & (kBlockSize - 1)];
+  }
   /// The index slot holding `peer`, or the empty slot where it belongs.
   /// index_ must be non-empty.
   IndexSlot& find_slot(NodeId peer);
@@ -264,15 +297,33 @@ class ReliableEndpoint final : public Transport, public MessageHandler {
   obs::Tracer tracer_;
   std::uint32_t epoch_ = 1;
   bool down_ = false;
-  /// PeerStates in first-contact order.  A deque never moves its elements,
-  /// so a PeerState& (and the timer callbacks that hold one) stays valid
-  /// while the table grows, even across an upcall that contacts a new peer.
-  std::deque<PeerState> peers_;
-  /// Open-addressing index into peers_, keyed by peer id: linear probing
-  /// over a power-of-two table kept at most half full.  Peers are never
-  /// removed, so there are no tombstones.
+  /// PeerStates in first-contact order, kBlockSize to a block.  A block
+  /// never moves, so a PeerState& (and the timer callbacks that hold one)
+  /// stays valid while the table grows, even across an upcall that
+  /// contacts a new peer.
+  static constexpr std::uint32_t kBlockShift = 4;
+  static constexpr std::uint32_t kBlockSize = 1u << kBlockShift;
+  std::vector<std::unique_ptr<PeerState[]>> blocks_;
+  std::uint32_t peer_count_ = 0;
+  /// Open-addressing index into the blocks, keyed by peer id: linear
+  /// probing over a power-of-two table kept at most 3/4 full.  Peers are
+  /// never removed, so there are no tombstones.
   std::vector<IndexSlot> index_;
   int index_shift_ = 64;  ///< 64 - log2(index_.size()), for hashing.
+  /// Every peer's unacked frames, recycled through a free list: the pool
+  /// is as large as the most frames ever outstanding at once, not the sum
+  /// of every peer's deepest window.  Frames are named by index, so growth
+  /// may move them.
+  std::vector<Frame> frames_;
+  std::uint32_t free_frame_ = kNoFrame;
+  /// Out-of-order frames only: an in-order frame goes straight up, so a
+  /// loss-free run never touches this.
+  Parked parked_;
+  /// rto_ladder_[k - 1] is the timeout after k consecutive timeouts,
+  /// min(previous * backoff_factor, rto_max), multiplied out one step at a
+  /// time exactly as a running value would be.  Shared by every peer and
+  /// grown by the first peer to climb a rung; a retry cap bounds it.
+  std::vector<sim::SimTime> rto_ladder_;
   TransportStats stats_;
   /// Timer identity for controlled scheduling (src/verify/): ack and RTO
   /// timers are tagged kTimer like process timers, but in a disjoint detail

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "net/delay_model.hpp"
 #include "net/msg_kind.hpp"
 #include "net/network.hpp"
+#include "net/pool.hpp"
 #include "net/reliable_transport.hpp"
 #include "testbed.hpp"
 
@@ -287,6 +289,106 @@ TEST(ReliableTransport, RetryCapAbandonmentResyncsLiveLinkAfterLossHeals) {
   tp.sim.run();
   EXPECT_EQ(tp.up1.count(3), 1u);
   EXPECT_EQ(tp.up1.received.size(), 2u);  // Exactly-once for 1 and 3 only.
+}
+
+// ------------------------------------------------------------ peer storage
+
+/// Upper handler that, for every chirp delivered to it, sends the same
+/// value to `fanout` peers its endpoint has never contacted, from inside
+/// the delivery upcall.
+class FanOutRelay final : public net::MessageHandler {
+ public:
+  FanOutRelay(net::NodeId self, int fanout) : self_(self), fanout_(fanout) {}
+
+  void on_message(const net::Envelope& env) override {
+    const int value = env.as<ChirpMsg>()->value;
+    received.push_back(value);
+    for (int k = 0; k < fanout_; ++k) {
+      endpoint->send(self_, net::NodeId{next_peer++},
+                     net::make_payload<ChirpMsg>(value));
+    }
+  }
+
+  net::ReliableEndpoint* endpoint = nullptr;
+  std::int32_t next_peer = 0;
+  std::vector<int> received;
+
+ private:
+  net::NodeId self_;
+  int fanout_;
+};
+
+// Peer states sit in fixed blocks behind an open-addressing index, and
+// unacked frames in one pool per endpoint; all three grow when a new peer
+// is contacted.  A protocol that contacts new peers from inside the
+// delivery upcall grows them while the endpoint still holds the sender's
+// state: after the upcall it schedules the delayed ack through it.  Here
+// one delivery instant makes the relay contact 120 fresh peers, which
+// takes its index from 8 to 256 slots, its peer table to 8 blocks and its
+// frame pool to 120 frames, all outstanding at once.  The sanitizer builds
+// turn a moved state into a use-after-free report.
+TEST(ReliableTransport, UpcallContactingNewPeersKeepsSenderStateValid) {
+  constexpr int kFrames = 15;
+  constexpr int kFanout = 8;
+  constexpr std::size_t kFresh = kFrames * kFanout;
+  constexpr std::size_t kNodes = 2 + kFresh;  // sender, relay, fresh peers
+  const net::NodeId sender{0};
+  const net::NodeId relay{1};
+  const std::uint64_t live_before = net::payload_alloc_stats().live;
+
+  sim::Simulator sim;
+  net::Network net(sim, kNodes,
+                   std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)),
+                   /*rng_seed=*/1);
+  FanOutRelay relay_up(relay, kFanout);
+  relay_up.next_peer = 2;
+  std::vector<UpperRecorder> ups(kNodes);
+  std::vector<std::unique_ptr<net::ReliableEndpoint>> eps;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const net::NodeId id{static_cast<std::int32_t>(i)};
+    net::MessageHandler& up =
+        id == relay ? static_cast<net::MessageHandler&>(relay_up) : ups[i];
+    eps.push_back(std::make_unique<net::ReliableEndpoint>(
+        net, id, up, test_config(), 100 + i));
+    net.attach(id, eps.back().get());
+  }
+  relay_up.endpoint = eps[1].get();
+
+  // Every frame reaches the relay at t=0.1, in one instant.
+  for (int v = 0; v < kFrames; ++v) {
+    eps[0]->send(sender, relay, net::make_payload<ChirpMsg>(v));
+  }
+  sim.run();
+
+  // Exactly once, in order, everywhere.
+  std::vector<int> expected(kFrames);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(relay_up.received, expected);
+  EXPECT_TRUE(ups[0].received.empty());
+  for (std::size_t i = 2; i < kNodes; ++i) {
+    ASSERT_EQ(ups[i].received.size(), 1u) << "peer " << i;
+    EXPECT_EQ(ups[i].count(static_cast<int>(i - 2) / kFanout), 1u)
+        << "peer " << i;
+  }
+  // Every window drained: no frame was resent or given up, no RTO is
+  // still armed (a non-empty window always has one), and once the
+  // recorders let go, every payload has gone back to the pool.
+  EXPECT_EQ(sim.pending_count(), 0u);
+  for (UpperRecorder& up : ups) up.received.clear();
+  EXPECT_EQ(net::payload_alloc_stats().live, live_before);
+  EXPECT_EQ(eps[0]->stats().data_sent, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(eps[1]->stats().data_sent, kFresh);
+  std::uint64_t acks = 0;
+  for (const auto& ep : eps) {
+    EXPECT_EQ(ep->stats().retransmits, 0u);
+    EXPECT_EQ(ep->stats().abandoned, 0u);
+    EXPECT_EQ(ep->stats().dup_dropped, 0u);
+    acks += ep->stats().acks_sent;
+  }
+  // One delayed ack covers the relay's whole burst from the sender; each
+  // fresh peer acks its one frame.
+  EXPECT_EQ(eps[1]->stats().acks_sent, 1u);
+  EXPECT_EQ(acks, 1 + kFresh);
 }
 
 // ----------------------------------------------------------- determinism
