@@ -90,17 +90,31 @@ void parse_param(const std::string& flag, const std::string& kv,
 
 namespace {
 
-/// The sharded lock-service branch of run_cli (--resources > 1): one
-/// scenario run instead of a lambda×seed sweep.  --requests is the
-/// aggregate demand, Zipf-split per shard; the table reports per-shard
-/// SLOs (p99 time-to-grant, Jain fairness) for the hottest shards plus
-/// service-wide aggregates, and --emit-json embeds the full per-shard
-/// scorecard in the dmx.run.v1 manifest's lock_service block.
-int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
-                         std::shared_ptr<obs::Sink> trace_sink,
-                         std::ostream& manifest) {
-  // The scenario knobs ride the standard ExperimentConfig so the manifest
-  // record is self-describing and validation is uniform.
+/// One point of the lambda sweep, before its seed is chosen.
+ExperimentConfig sweep_config(const CliOptions& opts, double lambda) {
+  ExperimentConfig cfg;
+  cfg.algorithm = opts.algorithm;
+  cfg.n_nodes = opts.n_nodes;
+  cfg.lambda = lambda;
+  cfg.total_requests = opts.requests;
+  cfg.t_msg = opts.t_msg;
+  cfg.t_exec = opts.t_exec;
+  cfg.params = opts.params;
+  cfg.delay_kind = opts.delay_kind;
+  cfg.delay_jitter = opts.jitter;
+  cfg.fault_plan = opts.fault_plan;
+  cfg.transport = opts.transport;
+  cfg.stall_threshold = opts.stall_threshold;
+  cfg.max_events = opts.max_events;
+  for (const auto& [type, p] : opts.loss_by_type) {
+    cfg.loss_by_type[type] = p;
+  }
+  return cfg;
+}
+
+/// The lock-service scenario's knobs on the standard ExperimentConfig, so
+/// the manifest record is self-describing and validation is uniform.
+ExperimentConfig lock_service_config(const CliOptions& opts) {
   ExperimentConfig cfg;
   cfg.algorithm = opts.shard_algo_hot;
   cfg.n_nodes = opts.n_nodes;
@@ -114,15 +128,20 @@ int run_lock_service_cli(const CliOptions& opts, std::ostream& os,
   cfg.zipf_s = opts.zipf_s;
   cfg.shard_algo_hot = opts.shard_algo_hot;
   cfg.shard_algo_cold = opts.shard_algo_cold;
-  {
-    const std::vector<std::string> errors = cfg.validate();
-    if (!errors.empty()) {
-      os << "invalid configuration:\n";
-      for (const std::string& e : errors) os << "  - " << e << "\n";
-      return 2;
-    }
-  }
+  return cfg;
+}
 
+/// The sharded lock-service branch of run_cli (--resources > 1): one
+/// scenario run of the validated `cfg` instead of a lambda×seed sweep.
+/// --requests is the aggregate demand, Zipf-split per shard; the table
+/// reports per-shard SLOs (p99 time-to-grant, Jain fairness) for the
+/// hottest shards plus service-wide aggregates, and --emit-json embeds the
+/// full per-shard scorecard in the dmx.run.v1 manifest's lock_service
+/// block.
+int run_lock_service_cli(const CliOptions& opts, const ExperimentConfig& cfg,
+                         std::ostream& os,
+                         std::shared_ptr<obs::Sink> trace_sink,
+                         std::ostream& manifest) {
   LockServiceConfig ls;
   ls.n_resources = opts.n_resources;
   ls.zipf_s = opts.zipf_s;
@@ -397,6 +416,21 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
     return 0;
   }
+  // Surface every configuration problem (unknown algorithm, malformed fault
+  // plan, bad loss spec, ...) before opening the output files: opening one
+  // truncates it, and a rejected configuration must leave earlier output
+  // intact.  The lambda points differ only in lambda, which parse_cli has
+  // already checked.
+  const bool lock_service = opts.n_resources > 1;
+  const ExperimentConfig first = lock_service
+                                     ? lock_service_config(opts)
+                                     : sweep_config(opts, opts.lambdas.front());
+  if (const std::vector<std::string> errors = first.validate();
+      !errors.empty()) {
+    os << "invalid configuration:\n";
+    for (const std::string& e : errors) os << "  - " << e << "\n";
+    return 2;
+  }
   // Both output files are opened before any run, so a bad path fails at
   // once instead of after the sweep.  File streams must outlive the sinks
   // writing to them: the Chrome-trace sink closes its JSON envelope in its
@@ -420,10 +454,11 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
   }
 
-  if (opts.n_resources > 1) {
+  if (lock_service) {
     // Sharded lock-service scenario: one Zipf-split run, not a lambda
     // sweep.  The trace sink (if any) captures the hottest shard.
-    return run_lock_service_cli(opts, os, std::move(trace_sink), manifest);
+    return run_lock_service_cli(opts, first, os, std::move(trace_sink),
+                                manifest);
   }
 
   const bool chaos = !opts.fault_plan.empty();
@@ -450,33 +485,7 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
   std::vector<ExperimentConfig> jobs;
   jobs.reserve(opts.lambdas.size() * opts.seeds);
   for (double lambda : opts.lambdas) {
-    ExperimentConfig cfg;
-    cfg.algorithm = opts.algorithm;
-    cfg.n_nodes = opts.n_nodes;
-    cfg.lambda = lambda;
-    cfg.total_requests = opts.requests;
-    cfg.t_msg = opts.t_msg;
-    cfg.t_exec = opts.t_exec;
-    cfg.params = opts.params;
-    cfg.delay_kind = opts.delay_kind;
-    cfg.delay_jitter = opts.jitter;
-    cfg.fault_plan = opts.fault_plan;
-    cfg.transport = opts.transport;
-    cfg.stall_threshold = opts.stall_threshold;
-    cfg.max_events = opts.max_events;
-    for (const auto& [type, p] : opts.loss_by_type) {
-      cfg.loss_by_type[type] = p;
-    }
-    if (first_run) {
-      // Surface every configuration problem (unknown algorithm, malformed
-      // fault plan, bad loss spec, ...) before committing to a sweep.
-      const std::vector<std::string> errors = cfg.validate();
-      if (!errors.empty()) {
-        os << "invalid configuration:\n";
-        for (const std::string& e : errors) os << "  - " << e << "\n";
-        return 2;
-      }
-    }
+    const ExperimentConfig cfg = sweep_config(opts, lambda);
     for (std::size_t s = 0; s < opts.seeds; ++s) {
       ExperimentConfig run_cfg = cfg;
       run_cfg.seed = seed_schedule(cfg, s);

@@ -4,7 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "harness/cli.hpp"
 
@@ -221,6 +223,37 @@ TEST(Cli, UnwritableManifestFailsBeforeTheSweep) {
               "cannot open --emit-json file '" + manifest.string() + "'\n");
   }
   EXPECT_FALSE(std::filesystem::exists(manifest.parent_path()));
+}
+
+TEST(Cli, InvalidConfigurationLeavesEarlierOutputIntact) {
+  // A configuration rejected with exit 2 must not truncate the files its
+  // --emit-json and --trace-out name: on the lambda-sweep path (unknown
+  // algorithm) and on the lock-service path (unknown hot-shard algorithm).
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("dmx_cli_keep_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string manifest = (dir / "run.json").string();
+  const std::string trace = (dir / "run.jsonl").string();
+  const auto contents = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  for (const std::string algo_flag : {"--algo", "--shard-algo"}) {
+    const std::string algo = algo_flag == "--algo" ? "nope" : "hot=nope";
+    const std::string resources = algo_flag == "--algo" ? "1" : "8";
+    std::ofstream(manifest) << "earlier manifest\n";
+    std::ofstream(trace) << "earlier trace\n";
+    const CliOptions o = parse({algo_flag, algo, "--resources", resources,
+                                "--emit-json", manifest, "--trace-out",
+                                trace});
+    std::ostringstream os;
+    EXPECT_EQ(run_cli(o, os), 2) << algo_flag;
+    EXPECT_EQ(os.str().rfind("invalid configuration:\n", 0), 0u) << os.str();
+    EXPECT_EQ(contents(manifest), "earlier manifest\n") << algo_flag;
+    EXPECT_EQ(contents(trace), "earlier trace\n") << algo_flag;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, RunCsvMode) {
