@@ -10,7 +10,9 @@
 # and one "NAME EXIT_CODE" line per configuration in exit_codes.txt.  A
 # configuration that exits non-zero is recorded, not a failure of the
 # script: the quorum crash-stop stall and the takeover livelock exit 1 at
-# the time of writing, and their diagnosis dumps are artifacts too.
+# the time of writing, and their diagnosis dumps are artifacts too, as is
+# the usage error of a configuration dmx_sweep rejects (exit 2).  The
+# script itself exits 1 if a configuration wrote no table at all.
 #
 # The tools run inside OUT_DIR with relative output names, so no path
 # reaches an artifact and two OUT_DIRs compare byte for byte.
@@ -87,6 +89,13 @@ sweep sf_recovery_crash_restart --algo arbiter-tp-sf --n 5 --lambda 0.5 \
   --requests 1000 --seeds 2 --param recovery=1 \
   --fault "t=10 crash 2; t=30 restart 2"
 
+# --- dmx_sweep: the sharded lock service ------------------------------------
+# lockservice_smoke.sh's service run, then a configuration that is rejected
+# before any output file is opened (no manifest, no trace).
+sweep lockservice --resources 16 --zipf-s 0.9 --n 6 --lambda 2.0 \
+  --requests 4000 --batch 8 --shard-algo hot=arbiter-tp,cold=path-reversal
+sweep lockservice_bad_hot --resources 8 --shard-algo hot=nope
+
 # --- dmx_trace: the scenarios in its header ---------------------------------
 run trace_paper_walkthrough "$TRACE" --algo arbiter-tp --n 5 --unit-times \
   --submit 1:0 --submit 4:0.2 --submit 3:1.9
@@ -104,3 +113,11 @@ run verify_sf_recovery "$VERIFY" --algo arbiter-tp-sf --n 3 --requests 1 \
   --param recovery=1 --fault "t=0 crash 1"
 
 cat exit_codes.txt
+status=0
+while read -r name code; do
+  if [ ! -s "$name.table.txt" ]; then
+    echo "artifact matrix: $name wrote no table (exit $code)" >&2
+    status=1
+  fi
+done < exit_codes.txt
+exit "$status"
