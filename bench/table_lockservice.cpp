@@ -5,11 +5,11 @@
 // lock-manager scenario guards thousands.  Each ladder rung Zipf-splits the
 // aggregate demand over more resources: hot shards (demand at or above the
 // per-shard mean) run the paper's arbiter token-passing with a full client
-// population, the long cold tail runs Raymond's tree algorithm over a
-// smaller one.  Per-shard SLOs come from the obs/span.hpp lifecycle
-// decomposition (grant_wait = submit -> granted): the table reports the
-// service-wide worst p99 time-to-grant, the hottest shard's p99, and the
-// worst per-tenant Jain fairness.
+// population, the long cold tail runs path-reversal over a smaller one.
+// Per-shard SLOs come from the obs/span.hpp lifecycle decomposition
+// (grant_wait = submit -> granted): the table reports the service-wide
+// worst p99 time-to-grant, the hottest shard's p99, and the worst
+// per-tenant Jain fairness.
 //
 // Every rung runs twice — serially and fanned over a worker pool
 // (harness::ParallelRunner) — and the two dmx.run.v1 manifests must be
@@ -65,36 +65,15 @@ dmx::harness::LockServiceConfig rung_config(std::size_t resources,
   return ls;
 }
 
-/// Canonical byte-fingerprint of one run: the dmx.run.v1 manifest with the
-/// full per-shard lock_service block — the exact artifact the CLI emits.
-/// cfg.jobs is deliberately not serialized (PR 5), so serial and parallel
-/// legs fingerprint over identical inputs.
+/// Canonical byte-fingerprint of one run: its dmx.run.v1 record with the
+/// full per-shard lock_service block, as the CLI writes it.  The manifest
+/// does not record jobs, so serial and parallel legs fingerprint over
+/// identical inputs.
 std::string fingerprint(const dmx::harness::LockServiceConfig& ls,
                         const dmx::harness::LockServiceReport& report) {
-  dmx::harness::ExperimentConfig cfg;
-  cfg.algorithm = ls.hot_algorithm;
-  cfg.n_nodes = ls.hot_nodes;
-  cfg.lambda = 1.0 / ls.think_mean;
-  cfg.total_requests = ls.total_demands;
-  cfg.t_msg = ls.t_msg;
-  cfg.t_exec = ls.t_exec;
-  cfg.seed = ls.seed;
-  cfg.n_resources = ls.n_resources;
-  cfg.zipf_s = ls.zipf_s;
-  cfg.shard_algo_hot = ls.hot_algorithm;
-  cfg.shard_algo_cold = ls.cold_algorithm;
-  dmx::harness::ExperimentResult result;
-  result.algorithm = "lock-service";
-  result.submitted = report.total_demands;
-  result.completed = report.total_completed;
-  result.messages_total = report.total_messages;
-  result.messages_per_cs = report.messages_per_cs;
-  result.safety_violations = report.safety_violations;
-  result.drained = report.drained;
-  result.lock_service =
-      std::make_shared<const dmx::harness::LockServiceReport>(report);
   std::ostringstream os;
-  dmx::harness::write_run_manifest(os, {dmx::harness::RunRecord{cfg, result}});
+  dmx::harness::write_run_manifest(
+      os, {dmx::harness::lock_service_record({}, ls, report)});
   return os.str();
 }
 

@@ -88,85 +88,83 @@ void parse_param(const std::string& flag, const std::string& kv,
   set_param(params, key, value);
 }
 
-namespace {
-
-/// One point of the lambda sweep, before its seed is chosen.
-ExperimentConfig sweep_config(const CliOptions& opts, double lambda) {
-  ExperimentConfig cfg;
-  cfg.algorithm = opts.algorithm;
-  cfg.n_nodes = opts.n_nodes;
-  cfg.lambda = lambda;
-  cfg.total_requests = opts.requests;
-  cfg.t_msg = opts.t_msg;
-  cfg.t_exec = opts.t_exec;
-  cfg.params = opts.params;
-  cfg.delay_kind = opts.delay_kind;
-  cfg.delay_jitter = opts.jitter;
-  cfg.fault_plan = opts.fault_plan;
-  cfg.transport = opts.transport;
-  cfg.stall_threshold = opts.stall_threshold;
-  cfg.max_events = opts.max_events;
-  for (const auto& [type, p] : opts.loss_by_type) {
-    cfg.loss_by_type[type] = p;
-  }
-  return cfg;
+CliOptions::CliOptions() {
+  cfg.total_requests = 100'000;
+  service.n_resources = 1;
 }
 
-/// The lock-service scenario's knobs on the standard ExperimentConfig, so
-/// the manifest record is self-describing and validation is uniform.
-ExperimentConfig lock_service_config(const CliOptions& opts) {
-  ExperimentConfig cfg;
-  cfg.algorithm = opts.shard_algo_hot;
-  cfg.n_nodes = opts.n_nodes;
-  cfg.lambda = opts.lambdas.front();
-  cfg.total_requests = opts.requests;
-  cfg.t_msg = opts.t_msg;
-  cfg.t_exec = opts.t_exec;
-  cfg.params = opts.params;
-  cfg.jobs = opts.jobs;
-  cfg.n_resources = opts.n_resources;
-  cfg.zipf_s = opts.zipf_s;
-  cfg.shard_algo_hot = opts.shard_algo_hot;
-  cfg.shard_algo_cold = opts.shard_algo_cold;
-  return cfg;
+namespace {
+
+/// One message per flag that the chosen mode never reads, spotted by its
+/// setting differing from the CLI default: the lock-service run reads none
+/// of the flags that only shape the lambda sweep, and the sweep reads none
+/// of the lock-service flags.
+std::vector<std::string> unread_flags(const CliOptions& opts) {
+  const CliOptions d;
+  const ExperimentConfig& cfg = opts.cfg;
+  const LockServiceConfig& ls = opts.service;
+  std::vector<std::string> errors;
+  std::string why;
+  const auto check = [&errors, &why](bool moved, const char* flag) {
+    if (moved) errors.push_back(flag + why);
+  };
+  if (ls.n_resources > 1) {
+    why = " is not read by the lock-service run (--resources > 1)";
+    check(cfg.algorithm != d.cfg.algorithm, "--algo");
+    check(opts.seeds != d.seeds, "--seeds");
+    check(opts.lambdas.size() > 1, "--lambda beyond its first rate");
+    check(cfg.delay_kind != d.cfg.delay_kind, "--delay");
+    check(cfg.delay_jitter != d.cfg.delay_jitter, "--jitter");
+    check(cfg.loss_by_type != d.cfg.loss_by_type, "--loss");
+    check(cfg.fault_plan != d.cfg.fault_plan, "--fault");
+    check(cfg.transport != d.cfg.transport, "--transport");
+    check(cfg.stall_threshold != d.cfg.stall_threshold, "--stall");
+    check(cfg.max_events != d.cfg.max_events, "--max-events");
+  } else {
+    why = " is read only by the lock-service run (--resources > 1)";
+    check(ls.zipf_s != d.service.zipf_s, "--zipf-s");
+    check(ls.hot_algorithm != d.service.hot_algorithm ||
+              ls.cold_algorithm != d.service.cold_algorithm,
+          "--shard-algo");
+    check(ls.batch_size != d.service.batch_size, "--batch");
+  }
+  return errors;
+}
+
+/// The lock-service run of `ls` (--resources/--zipf-s/--shard-algo/--batch)
+/// with every field it shares with the sweep derived from `first`, the
+/// sweep's first point.
+LockServiceConfig service_run(LockServiceConfig ls,
+                              const ExperimentConfig& first) {
+  ls.total_demands = first.total_requests;
+  ls.hot_nodes = first.n_nodes;
+  ls.cold_nodes = std::max<std::size_t>(2, first.n_nodes / 2);
+  ls.t_msg = first.t_msg;
+  ls.t_exec = first.t_exec;
+  ls.think_mean = 1.0 / first.lambda;
+  ls.params = first.params;
+  ls.seed = seed_schedule(first, 0);
+  ls.jobs = first.jobs;
+  return ls;
 }
 
 /// The sharded lock-service branch of run_cli (--resources > 1): one
-/// scenario run of the validated `cfg` instead of a lambda×seed sweep.
+/// scenario run of the validated `ls` instead of a lambda×seed sweep.
 /// --requests is the aggregate demand, Zipf-split per shard; the table
 /// reports per-shard SLOs (p99 time-to-grant, Jain fairness) for the
 /// hottest shards plus service-wide aggregates, and --emit-json embeds the
 /// full per-shard scorecard in the dmx.run.v1 manifest's lock_service
 /// block.
-int run_lock_service_cli(const CliOptions& opts, const ExperimentConfig& cfg,
-                         std::ostream& os,
-                         std::shared_ptr<obs::Sink> trace_sink,
+int run_lock_service_cli(const CliOptions& opts, const ExperimentConfig& first,
+                         const LockServiceConfig& ls, std::ostream& os,
                          std::ostream& manifest) {
-  LockServiceConfig ls;
-  ls.n_resources = opts.n_resources;
-  ls.zipf_s = opts.zipf_s;
-  ls.total_demands = opts.requests;
-  ls.hot_algorithm = opts.shard_algo_hot;
-  ls.cold_algorithm = opts.shard_algo_cold;
-  ls.hot_nodes = opts.n_nodes;
-  ls.cold_nodes = std::max<std::size_t>(2, opts.n_nodes / 2);
-  ls.t_msg = opts.t_msg;
-  ls.t_exec = opts.t_exec;
-  ls.think_mean = 1.0 / opts.lambdas.front();
-  ls.batch_size = opts.batch;
-  ls.params = opts.params;
-  ls.seed = seed_schedule(cfg, 0);
-  ls.jobs = opts.jobs;
-  ls.trace_sink = std::move(trace_sink);
-  ls.trace_shard = 0;  // the Zipf-hottest resource
-
   const LockServiceReport report = run_lock_service(ls);
 
-  os << "lock service: " << opts.n_resources << " resources  zipf_s="
-     << Table::num(opts.zipf_s, 2) << "  demand=" << opts.requests
-     << "  hot=" << opts.shard_algo_hot << "/" << opts.n_nodes
-     << "  cold=" << opts.shard_algo_cold << "/" << ls.cold_nodes
-     << "  batch=" << opts.batch << "\n";
+  os << "lock service: " << ls.n_resources << " resources  zipf_s="
+     << Table::num(ls.zipf_s, 2) << "  demand=" << ls.total_demands
+     << "  hot=" << ls.hot_algorithm << "/" << ls.hot_nodes
+     << "  cold=" << ls.cold_algorithm << "/" << ls.cold_nodes
+     << "  batch=" << ls.batch_size << "\n";
 
   // Shards sorted hottest-first for the report; CSV mode emits every shard,
   // the pretty table the head of the ranking.
@@ -212,21 +210,7 @@ int run_lock_service_cli(const CliOptions& opts, const ExperimentConfig& cfg,
      << (report.drained ? "yes" : "NO") << "\n";
 
   if (!opts.emit_json.empty()) {
-    ExperimentResult result;
-    result.algorithm = "lock-service";
-    result.lambda = cfg.lambda;
-    result.submitted = report.total_demands;
-    result.completed = report.total_completed;
-    result.messages_total = report.total_messages;
-    result.messages_per_cs = report.messages_per_cs;
-    result.safety_violations = report.safety_violations;
-    result.drained = report.drained;
-    for (const ShardResult& s : report.shards) {
-      result.sim_duration_units =
-          std::max(result.sim_duration_units, s.sim_duration_units);
-    }
-    result.lock_service = std::make_shared<const LockServiceReport>(report);
-    write_run_manifest(manifest, {RunRecord{cfg, result}});
+    write_run_manifest(manifest, {lock_service_record(first, ls, report)});
   }
   return report.drained && report.safety_violations == 0 ? 0 : 1;
 }
@@ -302,68 +286,69 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--algo") {
-      o.algorithm = need_value(i++, a);
+      o.cfg.algorithm = need_value(i++, a);
     } else if (a == "--n") {
-      o.n_nodes = static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
-      if (o.n_nodes == 0) throw std::invalid_argument("--n must be > 0");
+      o.cfg.n_nodes =
+          static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
+      if (o.cfg.n_nodes == 0) throw std::invalid_argument("--n must be > 0");
     } else if (a == "--lambda") {
       o.lambdas = parse_double_list(a, need_value(i++, a));
       for (double l : o.lambdas) {
         if (l <= 0) throw std::invalid_argument("--lambda entries must be > 0");
       }
     } else if (a == "--requests") {
-      o.requests = parse_u64(a, need_value(i++, a));
+      o.cfg.total_requests = parse_u64(a, need_value(i++, a));
     } else if (a == "--seeds") {
       o.seeds = static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
       if (o.seeds == 0) throw std::invalid_argument("--seeds must be > 0");
     } else if (a == "--t-msg") {
-      o.t_msg = parse_double(a, need_value(i++, a));
+      o.cfg.t_msg = parse_double(a, need_value(i++, a));
     } else if (a == "--t-exec") {
-      o.t_exec = parse_double(a, need_value(i++, a));
+      o.cfg.t_exec = parse_double(a, need_value(i++, a));
     } else if (a == "--param") {
-      parse_param(a, need_value(i++, a), o.params);
+      parse_param(a, need_value(i++, a), o.cfg.params);
     } else if (a == "--delay") {
       const std::string v = need_value(i++, a);
       if (v == "constant") {
-        o.delay_kind = DelayKind::kConstant;
+        o.cfg.delay_kind = DelayKind::kConstant;
       } else if (v == "uniform") {
-        o.delay_kind = DelayKind::kUniform;
+        o.cfg.delay_kind = DelayKind::kUniform;
       } else if (v == "exponential") {
-        o.delay_kind = DelayKind::kExponential;
+        o.cfg.delay_kind = DelayKind::kExponential;
       } else {
         throw std::invalid_argument("unknown --delay kind: " + v);
       }
     } else if (a == "--jitter") {
-      o.jitter = parse_double(a, need_value(i++, a));
+      o.cfg.delay_jitter = parse_double(a, need_value(i++, a));
     } else if (a == "--loss") {
       const auto [k, v] = split_kv(a, need_value(i++, a));
-      o.loss_by_type[k] = parse_double(a, v);
+      o.cfg.loss_by_type[k] = parse_double(a, v);
     } else if (a == "--fault") {
-      o.fault_plan = need_value(i++, a);
+      o.cfg.fault_plan = need_value(i++, a);
     } else if (a == "--transport") {
       const std::string v = need_value(i++, a);
       if (v == "raw") {
-        o.transport = TransportKind::kRaw;
+        o.cfg.transport = TransportKind::kRaw;
       } else if (v == "reliable") {
-        o.transport = TransportKind::kReliable;
+        o.cfg.transport = TransportKind::kReliable;
       } else {
         throw std::invalid_argument("unknown --transport kind: " + v);
       }
     } else if (a == "--stall") {
-      o.stall_threshold = parse_double(a, need_value(i++, a));
+      o.cfg.stall_threshold = parse_double(a, need_value(i++, a));
     } else if (a == "--max-events") {
-      o.max_events = parse_u64(a, need_value(i++, a));
+      o.cfg.max_events = parse_u64(a, need_value(i++, a));
     } else if (a == "--jobs") {
-      o.jobs = static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
+      o.cfg.jobs = static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
     } else if (a == "--resources") {
-      o.n_resources =
+      o.service.n_resources =
           static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
-      if (o.n_resources == 0) {
+      if (o.service.n_resources == 0) {
         throw std::invalid_argument("--resources must be > 0");
       }
     } else if (a == "--zipf-s") {
-      o.zipf_s = parse_double(a, need_value(i++, a));
-      if (o.zipf_s < 0.0) {
+      o.service.zipf_s = parse_double(a, need_value(i++, a));
+      if (o.service.zipf_s < 0.0) {
         throw std::invalid_argument("--zipf-s must be >= 0");
       }
     } else if (a == "--shard-algo") {
@@ -378,9 +363,9 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
         if (!item.empty()) {
           const auto [k, v] = split_kv(a, item);
           if (k == "hot") {
-            o.shard_algo_hot = v;
+            o.service.hot_algorithm = v;
           } else if (k == "cold") {
-            o.shard_algo_cold = v;
+            o.service.cold_algorithm = v;
           } else {
             throw std::invalid_argument(
                 "--shard-algo keys are hot/cold, got '" + k + "'");
@@ -390,7 +375,8 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
         start = comma + 1;
       }
     } else if (a == "--batch") {
-      o.batch = static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
+      o.service.batch_size =
+          static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
     } else if (a == "--trace-out") {
       o.trace_out = need_value(i++, a);
     } else if (a == "--trace-format") {
@@ -416,26 +402,32 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
     return 0;
   }
-  // Surface every configuration problem (unknown algorithm, malformed fault
-  // plan, bad loss spec, ...) before opening the output files: opening one
-  // truncates it, and a rejected configuration must leave earlier output
-  // intact.  The lambda points differ only in lambda, which parse_cli has
-  // already checked.
-  const bool lock_service = opts.n_resources > 1;
-  const ExperimentConfig first = lock_service
-                                     ? lock_service_config(opts)
-                                     : sweep_config(opts, opts.lambdas.front());
-  if (const std::vector<std::string> errors = first.validate();
-      !errors.empty()) {
+  // File streams must outlive the sinks writing to them: the Chrome-trace
+  // sink closes its JSON envelope in its destructor, so both streams are
+  // declared before anything that may hold a sink, and destroyed last.
+  std::ofstream trace_file;
+  std::ofstream manifest;
+  // Surface every configuration problem (a flag the chosen mode never
+  // reads, unknown algorithm, malformed fault plan, bad loss spec, ...)
+  // before opening the output files: opening one truncates it, and a
+  // rejected configuration must leave earlier output intact.  The lambda
+  // points differ only in lambda, which parse_cli has already checked.
+  ExperimentConfig first = opts.cfg;
+  first.lambda = opts.lambdas.front();
+  const bool lock_service = opts.service.n_resources > 1;
+  LockServiceConfig service;
+  if (lock_service) service = service_run(opts.service, first);
+  std::vector<std::string> errors = unread_flags(opts);
+  for (std::string& e : lock_service ? service.validate() : first.validate()) {
+    errors.push_back(std::move(e));
+  }
+  if (!errors.empty()) {
     os << "invalid configuration:\n";
     for (const std::string& e : errors) os << "  - " << e << "\n";
     return 2;
   }
   // Both output files are opened before any run, so a bad path fails at
-  // once instead of after the sweep.  File streams must outlive the sinks
-  // writing to them: the Chrome-trace sink closes its JSON envelope in its
-  // destructor, so trace_file is declared first and destroyed last.
-  std::ofstream trace_file;
+  // once instead of after the sweep.
   std::shared_ptr<obs::Sink> trace_sink;
   if (!opts.trace_out.empty()) {
     trace_file.open(opts.trace_out);
@@ -445,7 +437,6 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
     trace_sink = obs::make_format_sink(opts.trace_format, trace_file);
   }
-  std::ofstream manifest;
   if (!opts.emit_json.empty()) {
     manifest.open(opts.emit_json);
     if (!manifest) {
@@ -457,12 +448,12 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
   if (lock_service) {
     // Sharded lock-service scenario: one Zipf-split run, not a lambda
     // sweep.  The trace sink (if any) captures the hottest shard.
-    return run_lock_service_cli(opts, first, os, std::move(trace_sink),
-                                manifest);
+    service.trace_sink = std::move(trace_sink);
+    return run_lock_service_cli(opts, first, service, os, manifest);
   }
 
-  const bool chaos = !opts.fault_plan.empty();
-  const bool reliable = opts.transport == TransportKind::kReliable;
+  const bool chaos = !opts.cfg.fault_plan.empty();
+  const bool reliable = opts.cfg.transport == TransportKind::kReliable;
   std::vector<std::string> cols = {"lambda",   "msgs/cs", "response",
                                    "service",  "sojourn", "fwd_frac",
                                    "drained",  "safety"};
@@ -485,10 +476,11 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
   std::vector<ExperimentConfig> jobs;
   jobs.reserve(opts.lambdas.size() * opts.seeds);
   for (double lambda : opts.lambdas) {
-    const ExperimentConfig cfg = sweep_config(opts, lambda);
+    ExperimentConfig point = opts.cfg;
+    point.lambda = lambda;
     for (std::size_t s = 0; s < opts.seeds; ++s) {
-      ExperimentConfig run_cfg = cfg;
-      run_cfg.seed = seed_schedule(cfg, s);
+      ExperimentConfig run_cfg = point;
+      run_cfg.seed = seed_schedule(point, s);
       run_cfg.collect_spans =
           !opts.emit_json.empty() || (first_run && trace_sink != nullptr);
       if (first_run && trace_sink) run_cfg.trace_sink = trace_sink;
@@ -500,7 +492,7 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
   // in job-index order, so everything below — table rows, stall reports,
   // manifest records, the exit code — is byte-identical for any --jobs.
   const std::vector<ExperimentResult> results =
-      ParallelRunner(opts.jobs).run(jobs);
+      ParallelRunner(opts.cfg.jobs).run(jobs);
   if (!opts.emit_json.empty()) {
     records.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -581,11 +573,11 @@ int run_cli(const CliOptions& opts, std::ostream& os) {
     }
     table.add_row(std::move(row));
   }
-  os << "algorithm: " << opts.algorithm << "  N=" << opts.n_nodes
-     << "  requests/run=" << opts.requests << "  seeds=" << opts.seeds
-     << "\n";
+  os << "algorithm: " << opts.cfg.algorithm << "  N=" << opts.cfg.n_nodes
+     << "  requests/run=" << opts.cfg.total_requests
+     << "  seeds=" << opts.seeds << "\n";
   if (chaos) {
-    os << "fault plan: " << opts.fault_plan << "\n";
+    os << "fault plan: " << opts.cfg.fault_plan << "\n";
   }
   if (reliable) {
     os << "transport: reliable\n";

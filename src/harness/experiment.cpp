@@ -135,20 +135,6 @@ std::vector<std::string> ExperimentConfig::validate() const {
       errors.emplace_back(e.what());  // already says "fault plan: "
     }
   }
-  if (n_resources == 0) errors.emplace_back("n_resources must be at least 1");
-  if (zipf_s < 0.0) {
-    errors.push_back("zipf_s must be >= 0, got " + std::to_string(zipf_s));
-  }
-  if (n_resources > 1) {
-    if (!mutex::Registry::instance().contains(shard_algo_hot)) {
-      errors.push_back("unknown hot shard algorithm \"" + shard_algo_hot +
-                       "\"");
-    }
-    if (!mutex::Registry::instance().contains(shard_algo_cold)) {
-      errors.push_back("unknown cold shard algorithm \"" + shard_algo_cold +
-                       "\"");
-    }
-  }
   return errors;
 }
 
@@ -316,20 +302,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
           (algo.crashed() ? std::string("CRASHED") : algo.debug_state()) +
           "\n";
     }
-  }
-
-  // Unified structured reports: safety first, then liveness, then backstop.
-  r.violation_reports = mc.monitor().reports();
-  if (progress && progress->violation()) {
-    r.violation_reports.push_back(*progress->violation());
-  }
-  if (r.hit_event_limit) {
-    mutex::Violation v;
-    v.kind = mutex::Violation::Kind::kEventLimit;
-    v.time = sim.now();
-    v.detail = "executed " + std::to_string(sim.events_executed()) +
-               " events without draining the schedule";
-    r.violation_reports.push_back(std::move(v));
   }
 
   const auto& net_stats = mc.network().stats();

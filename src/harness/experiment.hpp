@@ -15,7 +15,6 @@
 
 #include "core/arbiter_mutex.hpp"
 #include "mutex/params.hpp"
-#include "mutex/violation.hpp"
 #include "net/reliable_transport.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -92,20 +91,6 @@ struct ExperimentConfig {
   /// value (harness/parallel.hpp), so the manifest does not record it.
   std::size_t jobs = 1;
 
-  // --- Sharded lock-service scenario (harness/lock_service.hpp) ----------
-  /// Number of lock resources.  1 = the classic single-CS experiment; > 1
-  /// switches drivers (the dmx_sweep CLI, table_lockservice) into the
-  /// sharded lock-service scenario: aggregate demand is Zipf-split over the
-  /// resources and each shard runs the hot or cold algorithm below.
-  std::size_t n_resources = 1;
-  /// Zipf popularity skew across resources (0 = uniform); meaningful only
-  /// when n_resources > 1.
-  double zipf_s = 0.0;
-  /// Per-shard algorithm choice: hot shards (demand at or above the mean)
-  /// run shard_algo_hot, the rest run shard_algo_cold.
-  std::string shard_algo_hot = "arbiter-tp";
-  std::string shard_algo_cold = "path-reversal";
-
   /// Validate without running: returns one actionable message per problem
   /// (unknown algorithm name, non-positive rates, malformed fault plan,
   /// out-of-range loss probability, ...); empty means runnable.
@@ -167,10 +152,6 @@ struct ExperimentResult {
   std::string stall_diagnosis;          ///< Per-node debug_state() dump.
   bool hit_event_limit = false;         ///< --max-events backstop fired.
   std::string event_limit_diagnosis;    ///< Per-node dump at the cutoff.
-  /// Structured reports: safety violations first (capped at
-  /// SafetyMonitor::kMaxReports), then a starvation report if the progress
-  /// monitor stalled, then an event-limit report if the backstop fired.
-  std::vector<mutex::Violation> violation_reports;
   std::vector<std::string> fault_log;   ///< Executed campaign actions.
 
   // Fairness (§5.1).
@@ -187,8 +168,8 @@ struct ExperimentResult {
   std::shared_ptr<const obs::SpanReport> spans;
 
   // Sharded lock-service scorecard (per-shard SLOs, Zipf demand split);
-  // set only by lock-service drivers when cfg.n_resources > 1, null for
-  // classic single-resource runs.
+  // set only by harness::lock_service_record (harness/manifest.hpp), null
+  // for run_experiment's single-resource runs.
   std::shared_ptr<const LockServiceReport> lock_service;
 
   double sim_duration_units = 0.0;

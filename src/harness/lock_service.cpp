@@ -40,11 +40,9 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
     return out;
   }
 
-  // The replication seed schedule applied to shards: shard r is
-  // "replication r" of the service's base seed, whether it runs serially
-  // or on any worker.
-  const std::uint64_t shard_seed =
-      cfg.seed + 1000 * static_cast<std::uint64_t>(r) + 17;
+  // Shard r is "replication r" of the service's base seed, whether it runs
+  // serially or on any worker.
+  const std::uint64_t shard_seed = seed_schedule(cfg.seed, r);
 
   mutex::LockSpaceSpec spec;
   spec.algorithm = out.algorithm;
@@ -56,8 +54,7 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
   spec.seed = shard_seed;
   spec.batch_size = cfg.batch_size;
   spec.collect_spans = true;
-  spec.span_hist_max = cfg.span_hist_max;
-  if (cfg.trace_sink && r == cfg.trace_shard) spec.trace_sink = cfg.trace_sink;
+  if (r == 0) spec.trace_sink = cfg.trace_sink;
   mutex::LockSpace space(std::move(spec));
 
   // Closed-loop clients: one per node, submitting through the redesigned
@@ -113,10 +110,9 @@ std::vector<std::string> LockServiceConfig::validate() const {
   if (total_demands == 0) errors.push_back("total_demands must be > 0");
   if (hot_nodes == 0) errors.push_back("hot_nodes must be > 0");
   if (cold_nodes == 0) errors.push_back("cold_nodes must be > 0");
-  if (t_msg < 0.0) errors.push_back("t_msg must be >= 0");
-  if (t_exec < 0.0) errors.push_back("t_exec must be >= 0");
+  if (t_msg <= 0.0) errors.push_back("t_msg must be > 0");
+  if (t_exec <= 0.0) errors.push_back("t_exec must be > 0");
   if (think_mean <= 0.0) errors.push_back("think_mean must be > 0");
-  if (span_hist_max <= 0.0) errors.push_back("span_hist_max must be > 0");
   if (!registry.contains(hot_algorithm)) {
     errors.push_back("hot algorithm not registered: " + hot_algorithm);
   }

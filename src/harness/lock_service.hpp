@@ -24,14 +24,15 @@
 //   * Shards are independent simulations, so ParallelRunner::run_indexed
 //     fans them across `jobs` workers with byte-identical per-shard
 //     results in shard order for ANY job count: shard r always runs with
-//     seed `seed + 1000*r + 17` (the replication seed schedule applied to
-//     shards).
+//     seed_schedule(seed, r), replication r of the service's base seed
+//     (harness/parallel.hpp).
 //   * SLO metrics come from the obs/span.hpp lifecycle decomposition: each
 //     shard reports p50/p99 time-to-grant (the grant_wait phase), Jain
 //     fairness over its clients' completions, and its message bill per CS.
 //
-// bench/table_lockservice.cpp renders the report and the dmx_sweep CLI
-// (--resources/--zipf-s/--shard-algo) embeds it in the dmx.run.v1 manifest.
+// bench/table_lockservice.cpp renders the report, and the dmx_sweep CLI
+// (--resources/--zipf-s/--shard-algo/--batch) writes it into the dmx.run.v1
+// manifest through harness::lock_service_record (harness/manifest.hpp).
 #pragma once
 
 #include <cstdint>
@@ -66,13 +67,12 @@ struct LockServiceConfig {
   /// Execution knob only — per-shard results are byte-identical for every
   /// value.
   std::size_t jobs = 1;
-  double span_hist_max = 1000.0;  ///< grant_wait histogram upper edge.
   /// Structured trace of ONE shard (the Perfetto drill-down view): the
-  /// sink receives every protocol/lifecycle event of shard `trace_shard`.
-  /// Exactly one shard writes to it, from whichever worker runs that
-  /// shard, so a plain file sink is safe at any job count.  Null = off.
+  /// sink receives every protocol/lifecycle event of shard 0, the
+  /// Zipf-hottest resource.  Exactly one shard writes to it, from whichever
+  /// worker runs that shard, so a plain file sink is safe at any job count.
+  /// Null = off.
   std::shared_ptr<obs::Sink> trace_sink;
-  std::size_t trace_shard = 0;  ///< Shard 0 = the Zipf-hottest resource.
 
   /// Every configuration problem at once (same contract as
   /// ExperimentConfig::validate / LockSpaceSpec::validate); empty = runnable.

@@ -1,9 +1,11 @@
 #include "harness/manifest.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string_view>
+#include <utility>
 
-#include "harness/lock_service.hpp"
 #include "obs/json.hpp"
 
 namespace dmx::harness {
@@ -26,7 +28,10 @@ std::string_view transport_name(TransportKind k) {
   return k == TransportKind::kReliable ? "reliable" : "raw";
 }
 
-void write_config(obs::JsonWriter& w, const ExperimentConfig& cfg) {
+void write_config(obs::JsonWriter& w, const RunRecord& run) {
+  const ExperimentConfig& cfg = run.config;
+  const LockServiceConfig* ls =
+      run.lock_service ? &*run.lock_service : nullptr;
   w.begin_object();
   w.key("algorithm");
   w.string(cfg.algorithm);
@@ -45,13 +50,13 @@ void write_config(obs::JsonWriter& w, const ExperimentConfig& cfg) {
   w.key("transport");
   w.string(transport_name(cfg.transport));
   w.key("n_resources");
-  w.number(static_cast<std::uint64_t>(cfg.n_resources));
+  w.number(static_cast<std::uint64_t>(ls ? ls->n_resources : 1));
   w.key("zipf_s");
-  w.number(cfg.zipf_s);
+  w.number(ls ? ls->zipf_s : 0.0);
   w.key("shard_algo_hot");
-  w.string(cfg.shard_algo_hot);
+  w.string(ls ? ls->hot_algorithm : "arbiter-tp");
   w.key("shard_algo_cold");
-  w.string(cfg.shard_algo_cold);
+  w.string(ls ? ls->cold_algorithm : "path-reversal");
   w.key("delay");
   w.string(delay_name(cfg.delay_kind));
   w.key("delay_jitter");
@@ -282,6 +287,27 @@ void write_result(obs::JsonWriter& w, const ExperimentResult& r) {
 
 }  // namespace
 
+RunRecord lock_service_record(ExperimentConfig cfg,
+                              const LockServiceConfig& ls,
+                              const LockServiceReport& report) {
+  cfg.algorithm = ls.hot_algorithm;
+  ExperimentResult result;
+  result.algorithm = "lock-service";
+  result.lambda = cfg.lambda;
+  result.submitted = report.total_demands;
+  result.completed = report.total_completed;
+  result.messages_total = report.total_messages;
+  result.messages_per_cs = report.messages_per_cs;
+  result.safety_violations = report.safety_violations;
+  result.drained = report.drained;
+  for (const ShardResult& s : report.shards) {
+    result.sim_duration_units =
+        std::max(result.sim_duration_units, s.sim_duration_units);
+  }
+  result.lock_service = std::make_shared<const LockServiceReport>(report);
+  return RunRecord{std::move(cfg), std::move(result), ls};
+}
+
 void write_run_manifest(std::ostream& os, const std::vector<RunRecord>& runs) {
   obs::JsonWriter w;
   w.begin_object();
@@ -292,7 +318,7 @@ void write_run_manifest(std::ostream& os, const std::vector<RunRecord>& runs) {
   for (const RunRecord& run : runs) {
     w.begin_object();
     w.key("config");
-    write_config(w, run.config);
+    write_config(w, run);
     w.key("result");
     write_result(w, run.result);
     w.end_object();

@@ -21,9 +21,13 @@ void freeze_registries() {
   obs::EventKindRegistry::instance().freeze();
 }
 
+std::uint64_t seed_schedule(std::uint64_t seed, std::size_t replication) {
+  return seed + 1000 * static_cast<std::uint64_t>(replication) + 17;
+}
+
 std::uint64_t seed_schedule(const ExperimentConfig& cfg,
                             std::size_t replication) {
-  return cfg.seed + 1000 * static_cast<std::uint64_t>(replication) + 17;
+  return seed_schedule(cfg.seed, replication);
 }
 
 std::size_t ParallelRunner::resolve(std::size_t jobs) {

@@ -33,11 +33,14 @@ namespace dmx::harness {
 /// path behaves identically against a frozen registry.
 void freeze_registries();
 
-/// THE seed schedule for replicated runs: replication `i` of a config with
-/// base seed `s` always runs with seed `s + 1000*i + 17`, whether it is run
-/// alone, in a serial batch, or on any parallel worker.  Every replication
-/// loop (run_replicated, the dmx_sweep CLI, the bench harness) routes
-/// through this one function; tests pin the schedule.
+/// THE seed schedule for replicated runs: replication `i` of base seed `s`
+/// always runs with seed `s + 1000*i + 17`, whether it is run alone, in a
+/// serial batch, or on any parallel worker.  Every replication loop
+/// (run_replicated, the dmx_sweep CLI, the bench harness, the lock
+/// service's shards) routes through it; tests pin the schedule.
+[[nodiscard]] std::uint64_t seed_schedule(std::uint64_t seed,
+                                          std::size_t replication);
+/// The schedule from `cfg.seed`.
 [[nodiscard]] std::uint64_t seed_schedule(const ExperimentConfig& cfg,
                                           std::size_t replication);
 

@@ -11,6 +11,9 @@ namespace dmx::mutex {
 
 namespace {
 
+/// Upper edge of every span phase histogram (time units).
+constexpr double kSpanHistMax = 1000.0;
+
 std::string join_errors(const std::vector<std::string>& errors) {
   std::string msg = "LockSpaceSpec invalid:";
   for (const auto& e : errors) {
@@ -28,7 +31,6 @@ std::vector<std::string> LockSpaceSpec::validate() const {
   if (n_resources == 0) errors.push_back("n_resources must be > 0");
   if (t_msg < 0.0) errors.push_back("t_msg must be >= 0");
   if (t_exec < 0.0) errors.push_back("t_exec must be >= 0");
-  if (span_hist_max <= 0.0) errors.push_back("span_hist_max must be > 0");
   if (!Registry::instance().contains(algorithm)) {
     errors.push_back(
         "algorithm not registered (call "
@@ -49,7 +51,7 @@ LockSpace::LockSpace(LockSpaceSpec spec) : spec_(std::move(spec)) {
     obs::Tracer tracer;
     if (spec_.collect_spans) {
       span_collectors_[r] = std::make_shared<obs::SpanCollector>(
-          spec_.trace_sink, spec_.span_hist_max);
+          spec_.trace_sink, kSpanHistMax);
       tracer = obs::Tracer(span_collectors_[r]);
     } else if (spec_.trace_sink) {
       tracer = obs::Tracer(spec_.trace_sink);

@@ -61,10 +61,9 @@ struct LockSpaceSpec {
   std::size_t batch_size = 0;
   /// Assemble per-resource request-lifecycle spans (obs/span.hpp); exposes
   /// span_report(resource) with the grant_wait (time-to-grant) phase the
-  /// lock-service SLO tables quote p99s of.
+  /// lock-service SLO tables quote p99s of.  Phase histograms span
+  /// [0, 1000) time units.
   bool collect_spans = false;
-  /// Histogram upper edge for span phase distributions (time units).
-  double span_hist_max = 1000.0;
   /// Optional downstream sink receiving every resource's trace events (and
   /// completed spans when collect_spans is on).
   std::shared_ptr<obs::Sink> trace_sink;

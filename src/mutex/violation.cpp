@@ -12,8 +12,6 @@ std::string_view violation_kind_name(Violation::Kind kind) {
       return "starvation";
     case Violation::Kind::kTokenDuplicated:
       return "token-duplicated";
-    case Violation::Kind::kEventLimit:
-      return "event-limit";
   }
   return "unknown";
 }

@@ -24,7 +24,6 @@ struct Violation {
     kPhantomExit,      ///< A CS exit with nobody inside.
     kStarvation,       ///< Pending live demand that can never be served.
     kTokenDuplicated,  ///< More than one live node believes it holds the token.
-    kEventLimit,       ///< The --max-events backstop fired (runaway schedule).
   };
 
   Kind kind = Kind::kMutualExclusion;

@@ -7,6 +7,8 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/cli.hpp"
 
@@ -19,10 +21,10 @@ CliOptions parse(std::initializer_list<std::string> args) {
 
 TEST(Cli, Defaults) {
   const auto o = parse({});
-  EXPECT_EQ(o.algorithm, "arbiter-tp");
-  EXPECT_EQ(o.n_nodes, 10u);
+  EXPECT_EQ(o.cfg.algorithm, "arbiter-tp");
+  EXPECT_EQ(o.cfg.n_nodes, 10u);
   EXPECT_EQ(o.lambdas, std::vector<double>{0.5});
-  EXPECT_EQ(o.requests, 100'000u);
+  EXPECT_EQ(o.cfg.total_requests, 100'000u);
   EXPECT_EQ(o.seeds, 3u);
   EXPECT_FALSE(o.csv);
   EXPECT_FALSE(o.help);
@@ -36,34 +38,34 @@ TEST(Cli, ParsesEverything) {
                         "t_req=0.3", "--param", "order=priority", "--delay",
                         "uniform", "--jitter", "0.02", "--loss",
                         "PRIVILEGE=0.01", "--csv"});
-  EXPECT_EQ(o.algorithm, "raymond");
-  EXPECT_EQ(o.n_nodes, 16u);
+  EXPECT_EQ(o.cfg.algorithm, "raymond");
+  EXPECT_EQ(o.cfg.n_nodes, 16u);
   EXPECT_EQ(o.lambdas, (std::vector<double>{0.1, 0.2, 1.5}));
-  EXPECT_EQ(o.requests, 5000u);
+  EXPECT_EQ(o.cfg.total_requests, 5000u);
   EXPECT_EQ(o.seeds, 7u);
-  EXPECT_DOUBLE_EQ(o.t_msg, 0.05);
-  EXPECT_DOUBLE_EQ(o.t_exec, 0.2);
-  EXPECT_DOUBLE_EQ(o.params.get_num("t_req", 0.0), 0.3);
-  EXPECT_EQ(o.params.get_str("order", ""), "priority");
-  EXPECT_EQ(o.delay_kind, DelayKind::kUniform);
-  EXPECT_DOUBLE_EQ(o.jitter, 0.02);
-  EXPECT_DOUBLE_EQ(o.loss_by_type.at("PRIVILEGE"), 0.01);
+  EXPECT_DOUBLE_EQ(o.cfg.t_msg, 0.05);
+  EXPECT_DOUBLE_EQ(o.cfg.t_exec, 0.2);
+  EXPECT_DOUBLE_EQ(o.cfg.params.get_num("t_req", 0.0), 0.3);
+  EXPECT_EQ(o.cfg.params.get_str("order", ""), "priority");
+  EXPECT_EQ(o.cfg.delay_kind, DelayKind::kUniform);
+  EXPECT_DOUBLE_EQ(o.cfg.delay_jitter, 0.02);
+  EXPECT_DOUBLE_EQ(o.cfg.loss_by_type.at("PRIVILEGE"), 0.01);
   EXPECT_TRUE(o.csv);
 }
 
 TEST(Cli, ParsesTransportKind) {
-  EXPECT_EQ(parse({}).transport, TransportKind::kRaw);
-  EXPECT_EQ(parse({"--transport", "raw"}).transport, TransportKind::kRaw);
-  EXPECT_EQ(parse({"--transport", "reliable"}).transport,
+  EXPECT_EQ(parse({}).cfg.transport, TransportKind::kRaw);
+  EXPECT_EQ(parse({"--transport", "raw"}).cfg.transport, TransportKind::kRaw);
+  EXPECT_EQ(parse({"--transport", "reliable"}).cfg.transport,
             TransportKind::kReliable);
   EXPECT_THROW(parse({"--transport", "tcp"}), std::invalid_argument);
   EXPECT_THROW(parse({"--transport"}), std::invalid_argument);
 }
 
 TEST(Cli, ParsesJobs) {
-  EXPECT_EQ(parse({}).jobs, 1u);  // serial by default
-  EXPECT_EQ(parse({"--jobs", "8"}).jobs, 8u);
-  EXPECT_EQ(parse({"--jobs", "0"}).jobs, 0u);  // 0 = hardware concurrency
+  EXPECT_EQ(parse({}).cfg.jobs, 1u);  // serial by default
+  EXPECT_EQ(parse({"--jobs", "8"}).cfg.jobs, 8u);
+  EXPECT_EQ(parse({"--jobs", "0"}).cfg.jobs, 0u);  // 0 = hardware concurrency
   EXPECT_THROW(parse({"--jobs"}), std::invalid_argument);
   EXPECT_THROW(parse({"--jobs", "two"}), std::invalid_argument);
 }
@@ -108,7 +110,7 @@ TEST(Cli, RunListPrintsAlgorithms) {
 
 TEST(Cli, RunUnknownAlgorithmFails) {
   CliOptions o;
-  o.algorithm = "nope";
+  o.cfg.algorithm = "nope";
   std::ostringstream os;
   EXPECT_EQ(run_cli(o, os), 2);
 }
@@ -116,7 +118,7 @@ TEST(Cli, RunUnknownAlgorithmFails) {
 TEST(Cli, RunSmallSweepProducesTable) {
   CliOptions o;
   o.lambdas = {0.2, 1.0};
-  o.requests = 1'000;
+  o.cfg.total_requests = 1'000;
   o.seeds = 1;
   std::ostringstream os;
   EXPECT_EQ(run_cli(o, os), 0);
@@ -130,22 +132,22 @@ TEST(Cli, RunSmallSweepProducesTable) {
 TEST(Cli, ParsesLockServiceFlags) {
   // Single-resource defaults keep the classic sweep path.
   const auto d = parse({});
-  EXPECT_EQ(d.n_resources, 1u);
-  EXPECT_DOUBLE_EQ(d.zipf_s, 0.9);
-  EXPECT_EQ(d.shard_algo_hot, "arbiter-tp");
-  EXPECT_EQ(d.shard_algo_cold, "path-reversal");
-  EXPECT_EQ(d.batch, 16u);
+  EXPECT_EQ(d.service.n_resources, 1u);
+  EXPECT_DOUBLE_EQ(d.service.zipf_s, 0.9);
+  EXPECT_EQ(d.service.hot_algorithm, "arbiter-tp");
+  EXPECT_EQ(d.service.cold_algorithm, "path-reversal");
+  EXPECT_EQ(d.service.batch_size, 16u);
 
   const auto o = parse({"--resources", "64", "--zipf-s", "1.2",
                         "--shard-algo", "hot=suzuki-kasami,cold=centralized",
                         "--batch", "32"});
-  EXPECT_EQ(o.n_resources, 64u);
-  EXPECT_DOUBLE_EQ(o.zipf_s, 1.2);
-  EXPECT_EQ(o.shard_algo_hot, "suzuki-kasami");
-  EXPECT_EQ(o.shard_algo_cold, "centralized");
-  EXPECT_EQ(o.batch, 32u);
+  EXPECT_EQ(o.service.n_resources, 64u);
+  EXPECT_DOUBLE_EQ(o.service.zipf_s, 1.2);
+  EXPECT_EQ(o.service.hot_algorithm, "suzuki-kasami");
+  EXPECT_EQ(o.service.cold_algorithm, "centralized");
+  EXPECT_EQ(o.service.batch_size, 32u);
   // Partial assignment leaves the other role at its default.
-  EXPECT_EQ(parse({"--shard-algo", "cold=centralized"}).shard_algo_hot,
+  EXPECT_EQ(parse({"--shard-algo", "cold=centralized"}).service.hot_algorithm,
             "arbiter-tp");
 }
 
@@ -162,10 +164,10 @@ TEST(Cli, LockServiceFlagRejections) {
 
 TEST(Cli, RunLockServiceProducesShardTable) {
   CliOptions o;
-  o.n_resources = 8;
-  o.zipf_s = 0.9;
-  o.requests = 800;
-  o.n_nodes = 4;
+  o.service.n_resources = 8;
+  o.service.zipf_s = 0.9;
+  o.cfg.total_requests = 800;
+  o.cfg.n_nodes = 4;
   o.lambdas = {2.0};
   std::ostringstream os;
   EXPECT_EQ(run_cli(o, os), 0);
@@ -214,9 +216,12 @@ TEST(Cli, UnwritableManifestFailsBeforeTheSweep) {
       std::filesystem::temp_directory_path() /
       ("dmx_cli_missing_" + std::to_string(::getpid())) / "run.json";
   for (const std::string resources : {"1", "8"}) {
-    const CliOptions o =
-        parse({"--n", "4", "--requests", "200", "--seeds", "1",
-               "--resources", resources, "--emit-json", manifest.string()});
+    std::vector<std::string> args = {"--n", "4", "--requests", "200",
+                                     "--resources", resources, "--emit-json",
+                                     manifest.string()};
+    // The lock-service run reads no --seeds.
+    if (resources == "1") args.insert(args.end(), {"--seeds", "1"});
+    const CliOptions o = parse_cli(args);
     std::ostringstream os;
     EXPECT_EQ(run_cli(o, os), 2) << "--resources " << resources;
     EXPECT_EQ(os.str(),
@@ -256,10 +261,75 @@ TEST(Cli, InvalidConfigurationLeavesEarlierOutputIntact) {
   std::filesystem::remove_all(dir);
 }
 
+// Runs `args` with an --emit-json file that already holds "earlier\n" and
+// returns the report; the run must exit 2 and leave that file untouched.
+std::string rejected_run(std::vector<std::string> args) {
+  const std::filesystem::path manifest =
+      std::filesystem::temp_directory_path() /
+      ("dmx_cli_unread_" + std::to_string(::getpid()) + ".json");
+  std::ofstream(manifest) << "earlier\n";
+  args.insert(args.end(), {"--emit-json", manifest.string()});
+  std::ostringstream os;
+  EXPECT_EQ(run_cli(parse_cli(args), os), 2) << os.str();
+  std::ifstream in(manifest);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "earlier\n");
+  in.close();
+  std::filesystem::remove(manifest);
+  EXPECT_EQ(os.str().rfind("invalid configuration:\n", 0), 0u) << os.str();
+  return os.str();
+}
+
+TEST(Cli, LockServiceRejectsFlagsItNeverReads) {
+  // dmx_sweep --algo raymond --resources 4 ...: the hot shards would run
+  // arbiter-tp, so the flag is an error, not a silent no-op.
+  EXPECT_NE(rejected_run({"--algo", "raymond", "--resources", "4", "--n", "4",
+                          "--lambda", "2.0", "--requests", "200"})
+                .find("  - --algo is not read by the lock-service run"),
+            std::string::npos);
+  const std::string out = rejected_run(
+      {"--resources", "4", "--n", "4", "--lambda", "1,2,3", "--requests",
+       "200", "--transport", "reliable", "--fault", "t=1 crash 1", "--loss",
+       "PRIVILEGE=0.5", "--seeds", "5", "--delay", "uniform", "--jitter",
+       "0.1", "--stall", "5", "--max-events", "1000"});
+  for (const char* flag :
+       {"--transport", "--fault", "--loss", "--seeds",
+        "--lambda beyond its first rate", "--delay", "--jitter", "--stall",
+        "--max-events"}) {
+    EXPECT_NE(out.find(std::string("  - ") + flag + " is not read by"),
+              std::string::npos)
+        << flag << "\n"
+        << out;
+  }
+}
+
+TEST(Cli, SweepRejectsLockServiceFlags) {
+  const std::string out = rejected_run(
+      {"--n", "4", "--lambda", "1", "--requests", "200", "--seeds", "1",
+       "--zipf-s", "3", "--batch", "2", "--shard-algo", "hot=raymond"});
+  for (const char* flag : {"--zipf-s", "--shard-algo", "--batch"}) {
+    EXPECT_NE(out.find(std::string("  - ") + flag +
+                       " is read only by the lock-service run"),
+              std::string::npos)
+        << flag << "\n"
+        << out;
+  }
+}
+
+TEST(Cli, LockServiceRejectsNonPositiveTimes) {
+  // The sweep demands positive message and CS times; so does the service.
+  for (const auto& [flag, field] : {std::pair{"--t-msg", "t_msg"},
+                                     std::pair{"--t-exec", "t_exec"}}) {
+    EXPECT_NE(rejected_run({"--resources", "4", flag, "0"})
+                  .find(std::string(field) + " must be > 0"),
+              std::string::npos)
+        << flag;
+  }
+}
+
 TEST(Cli, RunCsvMode) {
   CliOptions o;
   o.lambdas = {0.5};
-  o.requests = 500;
+  o.cfg.total_requests = 500;
   o.seeds = 1;
   o.csv = true;
   std::ostringstream os;

@@ -136,9 +136,8 @@ TEST(LockSpaceSpec, ValidateReportsEveryErrorAtOnce) {
   spec.n_resources = 0;
   spec.t_msg = -1.0;
   spec.t_exec = -1.0;
-  spec.span_hist_max = 0.0;
   const auto errors = spec.validate();
-  EXPECT_EQ(errors.size(), 6u);
+  EXPECT_EQ(errors.size(), 5u);
   auto mentions = [&errors](const std::string& needle) {
     for (const auto& e : errors) {
       if (e.find(needle) != std::string::npos) return true;
@@ -146,7 +145,7 @@ TEST(LockSpaceSpec, ValidateReportsEveryErrorAtOnce) {
     return false;
   };
   for (const char* field : {"no-such-algorithm", "n_nodes", "n_resources",
-                            "t_msg", "t_exec", "span_hist_max"}) {
+                            "t_msg", "t_exec"}) {
     EXPECT_TRUE(mentions(field)) << field;
   }
 }
@@ -362,18 +361,9 @@ TEST(LockService, JobsFanOutIsByteIdentical) {
     cfg.jobs = jobs;
     const harness::LockServiceReport report =
         harness::run_lock_service(cfg);
-    harness::ExperimentConfig mc;
-    mc.n_resources = cfg.n_resources;
-    mc.zipf_s = cfg.zipf_s;
-    mc.total_requests = cfg.total_demands;
-    harness::ExperimentResult mr;
-    mr.algorithm = "lock-service";
-    mr.completed = report.total_completed;
-    mr.drained = report.drained;
-    mr.lock_service =
-        std::make_shared<const harness::LockServiceReport>(report);
     std::ostringstream os;
-    harness::write_run_manifest(os, {harness::RunRecord{mc, mr}});
+    harness::write_run_manifest(
+        os, {harness::lock_service_record({}, cfg, report)});
     return os.str();
   };
   const std::string serial = manifest_of(1);

@@ -171,7 +171,7 @@ TEST(RunManifest, SchemaAndSpanBlockPresent) {
   // Lock-service scenario keys (PR 9) are part of the config schema even
   // for single-resource runs, so downstream tooling can rely on them.
   EXPECT_NE(m.find("\"n_resources\":1"), std::string::npos);
-  EXPECT_NE(m.find("\"zipf_s\""), std::string::npos);
+  EXPECT_NE(m.find("\"zipf_s\":0,"), std::string::npos);
   EXPECT_NE(m.find("\"shard_algo_hot\":\"arbiter-tp\""), std::string::npos);
   EXPECT_NE(m.find("\"shard_algo_cold\":\"path-reversal\""), std::string::npos);
   // Balanced JSON at the top level: crude but catches envelope bugs.
@@ -192,19 +192,18 @@ TEST(RunManifest, LockServiceBlockSchema) {
   ls.seed = 7;
   const harness::LockServiceReport report = harness::run_lock_service(ls);
 
-  harness::ExperimentConfig cfg = small_config();
-  cfg.n_resources = ls.n_resources;
-  cfg.zipf_s = ls.zipf_s;
-  harness::ExperimentResult result;
-  result.algorithm = "lock-service";
-  result.completed = report.total_completed;
-  result.drained = report.drained;
-  result.lock_service =
-      std::make_shared<const harness::LockServiceReport>(report);
   std::ostringstream os;
-  harness::write_run_manifest(os, {harness::RunRecord{cfg, result}});
+  harness::write_run_manifest(
+      os, {harness::lock_service_record(small_config(), ls, report)});
   const std::string m = os.str();
 
+  // The lock-service config keys come from the LockServiceConfig that ran.
+  EXPECT_NE(m.find("\"n_resources\":6"), std::string::npos);
+  EXPECT_NE(m.find("\"zipf_s\":1.1"), std::string::npos);
+  EXPECT_NE(m.find("\"algorithm\":\"arbiter-tp\""), std::string::npos);
+  EXPECT_NE(m.find("\"shard_algo_hot\":\"arbiter-tp\""), std::string::npos);
+  EXPECT_NE(m.find("\"shard_algo_cold\":\"path-reversal\""),
+            std::string::npos);
   EXPECT_NE(m.find("\"lock_service\""), std::string::npos);
   EXPECT_NE(m.find("\"hot_shards\""), std::string::npos);
   EXPECT_NE(m.find("\"grant_p99_worst\""), std::string::npos);

@@ -126,6 +126,9 @@ TEST(SeedSchedule, PinnedFormula) {
   EXPECT_EQ(seed_schedule(cfg, 7), 7059u);
   cfg.seed = 5;
   EXPECT_EQ(seed_schedule(cfg, 3), 3022u);
+  // The base-seed form, which the lock service's shards use.
+  EXPECT_EQ(seed_schedule(std::uint64_t{5}, 3), 3022u);
+  EXPECT_EQ(seed_schedule(std::uint64_t{59}, 2), 2076u);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,7 +158,7 @@ SweepArtifacts run_sweep(CliOptions opts, std::size_t jobs) {
   const std::filesystem::path manifest =
       dir / ("dmx_pr_manifest_" + id + ".json");
   const std::filesystem::path trace = dir / ("dmx_pr_trace_" + id + ".jsonl");
-  opts.jobs = jobs;
+  opts.cfg.jobs = jobs;
   opts.emit_json = manifest.string();
   opts.trace_out = trace.string();
   SweepArtifacts a;
@@ -171,10 +174,10 @@ SweepArtifacts run_sweep(CliOptions opts, std::size_t jobs) {
 
 CliOptions small_sweep() {
   CliOptions o;
-  o.algorithm = "arbiter-tp";
+  o.cfg.algorithm = "arbiter-tp";
   o.lambdas = {0.2, 0.5};
   o.seeds = 4;
-  o.requests = 1'500;
+  o.cfg.total_requests = 1'500;
   return o;
 }
 
@@ -202,13 +205,13 @@ TEST(ParallelSweep, ByteIdenticalTableManifestTraceAcrossJobs) {
 
 TEST(ParallelSweep, ByteIdenticalUnderLossyReliableCampaign) {
   CliOptions o;
-  o.algorithm = "suzuki-kasami";
-  o.n_nodes = 5;
+  o.cfg.algorithm = "suzuki-kasami";
+  o.cfg.n_nodes = 5;
   o.lambdas = {0.3};
   o.seeds = 6;
-  o.requests = 400;
-  o.transport = TransportKind::kReliable;
-  o.fault_plan =
+  o.cfg.total_requests = 400;
+  o.cfg.transport = TransportKind::kReliable;
+  o.cfg.fault_plan =
       "t=5 loss *=0.2 until=60; reorder-window t=10..30; t=12 dup-next RT-ACK";
   const SweepArtifacts serial = run_sweep(o, 1);
   ASSERT_EQ(serial.exit_code, 0) << serial.table;
