@@ -30,8 +30,7 @@ std::string_view transport_name(TransportKind k) {
 
 void write_config(obs::JsonWriter& w, const RunRecord& run) {
   const ExperimentConfig& cfg = run.config;
-  const LockServiceConfig* ls =
-      run.lock_service ? &*run.lock_service : nullptr;
+  const std::optional<LockServiceConfig>& ls = run.lock_service;
   w.begin_object();
   w.key("algorithm");
   w.string(cfg.algorithm);

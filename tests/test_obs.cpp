@@ -184,6 +184,7 @@ TEST(RunManifest, LockServiceBlockSchema) {
   harness::LockServiceConfig ls;
   ls.n_resources = 6;
   ls.zipf_s = 1.1;
+  ls.hot_algorithm = "suzuki-kasami";
   ls.total_demands = 400;
   ls.hot_nodes = 4;
   ls.cold_nodes = 2;
@@ -197,12 +198,13 @@ TEST(RunManifest, LockServiceBlockSchema) {
       os, {harness::lock_service_record(small_config(), ls, report)});
   const std::string m = os.str();
 
-  // The lock-service config keys come from the LockServiceConfig that ran.
-  EXPECT_NE(m.find("\"n_resources\":6"), std::string::npos);
-  EXPECT_NE(m.find("\"zipf_s\":1.1"), std::string::npos);
-  EXPECT_NE(m.find("\"algorithm\":\"arbiter-tp\""), std::string::npos);
-  EXPECT_NE(m.find("\"shard_algo_hot\":\"arbiter-tp\""), std::string::npos);
-  EXPECT_NE(m.find("\"shard_algo_cold\":\"path-reversal\""),
+  // The lock-service config keys, and the algorithm, come from the
+  // LockServiceConfig that ran.
+  EXPECT_NE(m.find("\"config\":{\"algorithm\":\"suzuki-kasami\""),
+            std::string::npos);
+  EXPECT_NE(m.find("\"n_resources\":6,\"zipf_s\":1.1,"
+                   "\"shard_algo_hot\":\"suzuki-kasami\","
+                   "\"shard_algo_cold\":\"path-reversal\""),
             std::string::npos);
   EXPECT_NE(m.find("\"lock_service\""), std::string::npos);
   EXPECT_NE(m.find("\"hot_shards\""), std::string::npos);
