@@ -90,10 +90,13 @@ sweep sf_recovery_crash_restart --algo arbiter-tp-sf --n 5 --lambda 0.5 \
   --fault "t=10 crash 2; t=30 restart 2"
 
 # --- dmx_sweep: the sharded lock service ------------------------------------
-# lockservice_smoke.sh's service run, then a configuration that is rejected
-# before any output file is opened (no manifest, no trace).
+# lockservice_smoke.sh's service run; an unbatched run (every acquire goes
+# straight to the protocol) on two other algorithms; then a configuration
+# that is rejected before any output file is opened (no manifest, no trace).
 sweep lockservice --resources 16 --zipf-s 0.9 --n 6 --lambda 2.0 \
   --requests 4000 --batch 8 --shard-algo hot=arbiter-tp,cold=path-reversal
+sweep lockservice_unbatched --resources 12 --n 5 --lambda 1.5 \
+  --requests 3000 --batch 0 --shard-algo hot=suzuki-kasami,cold=raymond
 sweep lockservice_bad_hot --resources 8 --shard-algo hot=nope
 
 # --- dmx_trace: the scenarios in its header ---------------------------------
