@@ -44,13 +44,6 @@ double FaultInjector::loss_probability(MsgKind kind) const {
   return global_loss_;
 }
 
-std::uint64_t FaultInjector::drop_next(Predicate pred) {
-  if (!pred) throw std::invalid_argument("drop_next: empty predicate");
-  const std::uint64_t id = next_one_shot_id_++;
-  one_shots_.push_back(OneShot{id, std::move(pred)});
-  return id;
-}
-
 bool FaultInjector::cancel_one_shot(std::uint64_t id) {
   for (auto* list : {&one_shots_, &dup_one_shots_}) {
     for (auto it = list->begin(); it != list->end(); ++it) {
@@ -72,55 +65,37 @@ bool FaultInjector::one_shot_pending(std::uint64_t id) const {
   return false;
 }
 
-namespace {
-
-/// Kind/src/dst match against the logical payload (fault_target unwraps
-/// transport frames), shared by targeted drops and duplications.
-FaultInjector::Predicate kind_predicate(MsgKind kind, NodeId src, NodeId dst) {
-  return [kind, src, dst](const Envelope& env) {
-    if (env.payload->fault_target().kind() != kind) return false;
-    if (src.valid() && env.src != src) return false;
-    if (dst.valid() && env.dst != dst) return false;
-    return true;
-  };
+bool FaultInjector::OneShot::matches(const Envelope& env) const {
+  if (env.payload->fault_target().kind() != kind) return false;
+  if (src.valid() && env.src != src) return false;
+  if (dst.valid() && env.dst != dst) return false;
+  return true;
 }
 
-}  // namespace
-
-std::uint64_t FaultInjector::drop_next_of_kind(MsgKind kind, NodeId src,
-                                               NodeId dst) {
-  return drop_next(kind_predicate(kind, src, dst));
+std::uint64_t FaultInjector::add_one_shot(std::vector<OneShot>& list,
+                                          std::string_view type_name,
+                                          NodeId src, NodeId dst) {
+  const std::uint64_t id = next_one_shot_id_++;
+  list.push_back(
+      OneShot{id, MsgKindRegistry::instance().intern(type_name), src, dst});
+  return id;
 }
 
 std::uint64_t FaultInjector::drop_next_of_type(std::string_view type_name,
                                                NodeId src, NodeId dst) {
-  return drop_next_of_kind(MsgKindRegistry::instance().intern(type_name), src,
-                           dst);
-}
-
-std::uint64_t FaultInjector::duplicate_next(Predicate pred) {
-  if (!pred) throw std::invalid_argument("duplicate_next: empty predicate");
-  const std::uint64_t id = next_one_shot_id_++;
-  dup_one_shots_.push_back(OneShot{id, std::move(pred)});
-  return id;
-}
-
-std::uint64_t FaultInjector::duplicate_next_of_kind(MsgKind kind, NodeId src,
-                                                    NodeId dst) {
-  return duplicate_next(kind_predicate(kind, src, dst));
+  return add_one_shot(one_shots_, type_name, src, dst);
 }
 
 std::uint64_t FaultInjector::duplicate_next_of_type(std::string_view type_name,
                                                     NodeId src, NodeId dst) {
-  return duplicate_next_of_kind(MsgKindRegistry::instance().intern(type_name),
-                                src, dst);
+  return add_one_shot(dup_one_shots_, type_name, src, dst);
 }
 
 std::size_t FaultInjector::duplicate_copies(const Envelope& env) {
   if (dup_one_shots_.empty()) return 0;
   std::size_t copies = 0;
   std::erase_if(dup_one_shots_, [&](const OneShot& os) {
-    if (!os.pred(env)) return false;
+    if (!os.matches(env)) return false;
     ++copies;
     return true;
   });
@@ -174,7 +149,7 @@ DropReason FaultInjector::classify(const Envelope& env, sim::Rng& rng) {
     if (ga != gb) return DropReason::kPartition;
   }
   for (auto it = one_shots_.begin(); it != one_shots_.end(); ++it) {
-    if (it->pred(env)) {
+    if (it->matches(env)) {
       one_shots_.erase(it);
       ++os_fired_;
       return DropReason::kOneShot;
