@@ -1,6 +1,7 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,6 +34,7 @@ double parse_num(const std::string& text, std::string_view what,
     std::size_t pos = 0;
     const double d = std::stod(text, &pos);
     if (pos != text.size()) throw std::invalid_argument("trailing junk");
+    if (!std::isfinite(d)) throw std::invalid_argument("not finite");
     return d;
   } catch (const std::exception&) {
     fail("bad " + std::string(what) + " '" + text + "'", action);
@@ -98,8 +100,8 @@ FaultAction parse_action(std::string_view action) {
     a.kind = FaultAction::Kind::kReorderWindow;
     a.at = parse_num(range.substr(0, dots), "time", action);
     a.until = parse_num(range.substr(dots + 2), "time", action);
-    if (a.at < 0.0) fail("negative time", action);
-    if (a.until <= a.at) {
+    if (!(a.at >= 0.0)) fail("negative time", action);
+    if (!(a.until > a.at)) {
       fail("'reorder-window' end must be after its start", action);
     }
     return a;
@@ -109,7 +111,7 @@ FaultAction parse_action(std::string_view action) {
   }
   FaultAction a;
   a.at = parse_num(toks[0].substr(2), "time", action);
-  if (a.at < 0.0) fail("negative time", action);
+  if (!(a.at >= 0.0)) fail("negative time", action);
   if (toks.size() < 2) fail("missing verb", action);
   const std::string& verb = toks[1];
   auto expect_argc = [&](std::size_t n) {
@@ -148,7 +150,7 @@ FaultAction parse_action(std::string_view action) {
     }
     a.msg_type = toks[2].substr(0, eq);
     a.probability = parse_num(toks[2].substr(eq + 1), "probability", action);
-    if (a.probability < 0.0 || a.probability > 1.0) {
+    if (!(a.probability >= 0.0 && a.probability <= 1.0)) {
       fail("probability outside [0,1]", action);
     }
     if (toks.size() == 4) {
@@ -156,8 +158,9 @@ FaultAction parse_action(std::string_view action) {
         fail("unknown loss option '" + toks[3] + "'", action);
       }
       a.until = parse_num(toks[3].substr(6), "time", action);
-      if (a.until <= a.at) fail("'until' must be after the action time",
-                                action);
+      if (!(a.until > a.at)) {
+        fail("'until' must be after the action time", action);
+      }
     }
   } else if (verb == "partition") {
     expect_argc(3);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -18,30 +20,25 @@
 
 namespace dmx::harness {
 
-double parse_double(const std::string& flag, const std::string& value) {
+namespace {
+
+/// The number the whole of `value` spells, finite or not; nullopt when it
+/// spells none ("5s", "priority").
+std::optional<double> whole_number(const std::string& value) {
   try {
     std::size_t pos = 0;
     const double d = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument("trailing junk");
-    return d;
+    if (pos == value.size()) return d;
   } catch (const std::exception&) {
-    throw std::invalid_argument("bad numeric value for " + flag + ": '" +
-                                value + "'");
   }
+  return std::nullopt;
 }
 
-std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    throw std::invalid_argument("bad integer value for " + flag + ": '" +
-                                value + "'");
-  }
-  return out;
+[[noreturn]] void bad_number(const std::string& flag,
+                             const std::string& value) {
+  throw std::invalid_argument("bad numeric value for " + flag + ": '" +
+                              value + "'");
 }
-
-namespace {
 
 std::vector<double> parse_double_list(const std::string& flag,
                                       const std::string& value) {
@@ -73,12 +70,32 @@ std::pair<std::string, std::string> split_kv(const std::string& flag,
 
 }  // namespace
 
+double parse_double(const std::string& flag, const std::string& value) {
+  const std::optional<double> d = whole_number(value);
+  if (!d || !std::isfinite(*d)) bad_number(flag, value);
+  return *d;
+}
+
+std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
+  std::uint64_t out = 0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec != std::errc{} || ptr != value.data() + value.size()) {
+    throw std::invalid_argument("bad integer value for " + flag + ": '" +
+                                value + "'");
+  }
+  return out;
+}
+
 void set_param(mutex::ParamSet& params, const std::string& key,
                const std::string& value) {
-  try {
-    params.set(key, parse_double(key, value));
-  } catch (const std::invalid_argument&) {
+  const std::optional<double> d = whole_number(value);
+  if (!d) {
     params.set(key, value);
+  } else if (std::isfinite(*d)) {
+    params.set(key, *d);
+  } else {
+    bad_number(key, value);
   }
 }
 
@@ -294,7 +311,9 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--lambda") {
       o.lambdas = parse_double_list(a, need_value(i++, a));
       for (double l : o.lambdas) {
-        if (l <= 0) throw std::invalid_argument("--lambda entries must be > 0");
+        if (!(l > 0)) {
+          throw std::invalid_argument("--lambda entries must be > 0");
+        }
       }
     } else if (a == "--requests") {
       o.cfg.total_requests = parse_u64(a, need_value(i++, a));
@@ -348,7 +367,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       }
     } else if (a == "--zipf-s") {
       o.service.zipf_s = parse_double(a, need_value(i++, a));
-      if (o.service.zipf_s < 0.0) {
+      if (!(o.service.zipf_s >= 0.0)) {
         throw std::invalid_argument("--zipf-s must be >= 0");
       }
     } else if (a == "--shard-algo") {
@@ -384,7 +403,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--emit-json") {
       o.emit_json = need_value(i++, a);
     } else {
-      throw std::invalid_argument("unknown flag: " + a + "\n" + cli_usage());
+      throw std::invalid_argument("unknown flag: " + a);
     }
   }
   return o;

@@ -46,7 +46,8 @@ CliOptions parse_cli(const std::vector<std::string>& args);
 
 /// Strict numeric flag values, shared by every dmx_* tool: the whole of
 /// `value` must parse, so "5s" or "0.1junk" is an error, never a silent
-/// truncation.  Throws std::invalid_argument naming `flag` and `value`.
+/// truncation, and parse_double also rejects "nan" and "inf".  Throws
+/// std::invalid_argument naming `flag` and `value`.
 double parse_double(const std::string& flag, const std::string& value);
 std::uint64_t parse_u64(const std::string& flag, const std::string& value);
 
@@ -55,9 +56,10 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& value);
 void parse_param(const std::string& flag, const std::string& kv,
                  mutex::ParamSet& params);
 
-/// The value half of parse_param: a number when parse_double accepts the
-/// whole of `value`, a string otherwise ("order=priority").  Also reads the
-/// "param KEY VALUE" lines of dmx.cex.v1 files.
+/// The value half of parse_param: a number when the whole of `value` is a
+/// finite number, a string when it is no number ("order=priority"), and
+/// std::invalid_argument naming `key` when it is "nan" or "inf".  Also
+/// reads the "param KEY VALUE" lines of dmx.cex.v1 files.
 void set_param(mutex::ParamSet& params, const std::string& key,
                const std::string& value);
 

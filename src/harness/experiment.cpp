@@ -48,7 +48,7 @@ double auto_sim_bound(const ExperimentConfig& cfg) {
 
 void check_positive(std::vector<std::string>& errors, const char* what,
                     double v) {
-  if (v <= 0.0) {
+  if (!(v > 0.0)) {
     errors.push_back(std::string(what) + " must be positive, got " +
                      std::to_string(v));
   }
@@ -103,15 +103,15 @@ std::vector<std::string> ExperimentConfig::validate() const {
   if (total_requests == 0) {
     errors.emplace_back("total_requests must be at least 1");
   }
-  if (max_sim_units < 0.0) {
+  if (!(max_sim_units >= 0.0)) {
     errors.push_back("max_sim_units must be >= 0 (0 = auto), got " +
                      std::to_string(max_sim_units));
   }
-  if (delay_jitter < 0.0) {
+  if (!(delay_jitter >= 0.0)) {
     errors.push_back("delay_jitter must be >= 0, got " +
                      std::to_string(delay_jitter));
   }
-  if (delay_kind != DelayKind::kConstant && delay_jitter <= 0.0) {
+  if (delay_kind != DelayKind::kConstant && !(delay_jitter > 0.0)) {
     errors.emplace_back(
         "non-constant delay model needs a positive delay_jitter");
   }
@@ -123,7 +123,7 @@ std::vector<std::string> ExperimentConfig::validate() const {
       errors.push_back("loss_by_type names unregistered message type \"" +
                        type + "\"");
     }
-    if (p < 0.0 || p > 1.0) {
+    if (!(p >= 0.0 && p <= 1.0)) {
       errors.push_back("loss probability for \"" + type +
                        "\" must be in [0, 1], got " + std::to_string(p));
     }

@@ -29,8 +29,8 @@ std::vector<std::string> problems(const VerifyConfig& cfg,
   if (cfg.requests_per_node == 0) {
     errors.emplace_back("requests_per_node must be at least 1");
   }
-  if (cfg.t_msg <= 0.0) errors.emplace_back("t_msg must be positive");
-  if (cfg.t_exec <= 0.0) errors.emplace_back("t_exec must be positive");
+  if (!(cfg.t_msg > 0.0)) errors.emplace_back("t_msg must be positive");
+  if (!(cfg.t_exec > 0.0)) errors.emplace_back("t_exec must be positive");
   if (cfg.max_depth == 0) errors.emplace_back("max_depth must be at least 1");
   if (cfg.max_schedules == 0) {
     errors.emplace_back("max_schedules must be at least 1");

@@ -91,6 +91,32 @@ TEST(Cli, Rejections) {
   EXPECT_THROW(parse({"--t-msg", "1.5x"}), std::invalid_argument);
 }
 
+TEST(Cli, RejectsNonFiniteNumbers) {
+  // "nan" and "inf" parse as doubles, but no rate, time, jitter, skew,
+  // probability or parameter can be one: each is a usage error naming its
+  // flag (or parameter), never a value the run accepts.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--lambda", "nan"}, "--lambda: 'nan'"},
+       {{"--lambda", "0.5,inf"}, "--lambda: 'inf'"},
+       {{"--t-msg", "inf"}, "--t-msg: 'inf'"},
+       {{"--t-exec", "nan"}, "--t-exec: 'nan'"},
+       {{"--delay", "uniform", "--jitter", "nan"}, "--jitter: 'nan'"},
+       {{"--loss", "PRIVILEGE=nan"}, "--loss: 'nan'"},
+       {{"--stall", "nan"}, "--stall: 'nan'"},
+       {{"--resources", "4", "--zipf-s", "nan"}, "--zipf-s: 'nan'"},
+       {{"--param", "t_req=nan"}, "t_req: 'nan'"},
+       {{"--param", "t_req=-inf"}, "t_req: '-inf'"}};
+  for (const auto& [args, expect] : cases) {
+    try {
+      (void)parse_cli(args);
+      ADD_FAILURE() << "accepted " << args.back();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Cli, RunHelpPrintsUsage) {
   CliOptions o;
   o.help = true;
@@ -324,6 +350,15 @@ TEST(Cli, LockServiceRejectsNonPositiveTimes) {
               std::string::npos)
         << flag;
   }
+}
+
+TEST(Cli, NonFiniteFaultTimeLeavesEarlierOutputIntact) {
+  // The plan is a string until validate() parses it, so a NaN time gets
+  // past parse_cli; it must still be rejected before --emit-json opens.
+  EXPECT_NE(rejected_run({"--n", "3", "--requests", "100", "--seeds", "1",
+                          "--fault", "t=nan crash 1"})
+                .find("bad time 'nan' in action 't=nan crash 1'"),
+            std::string::npos);
 }
 
 TEST(Cli, RunCsvMode) {

@@ -84,6 +84,25 @@ TEST(FaultPlanParse, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("t=5 crash 3 junk"), std::invalid_argument);
 }
 
+TEST(FaultPlanParse, RejectsNonFiniteNumbers) {
+  // NaN and infinity are no times or probabilities: each is reported with
+  // the action it came from, not accepted and left to fail (or silently do
+  // nothing) mid-run.
+  for (const std::string action :
+       {"t=nan crash 1", "t=inf crash 1", "t=1 loss PRIVILEGE=nan",
+        "t=1 loss REQUEST=0.1 until=nan", "t=1 loss REQUEST=0.1 until=inf",
+        "reorder-window t=1..nan", "reorder-window t=nan..5"}) {
+    try {
+      (void)FaultPlan::parse(action);
+      ADD_FAILURE() << "accepted '" << action << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("in action '" + action + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FaultPlanParse, UnknownMessageTypeIsNotAParseError) {
   // The registry may not be populated at parse time; the CampaignRunner
   // validates type names at start().
