@@ -25,8 +25,8 @@ std::string join_errors(const std::vector<std::string>& errors) {
   return msg;
 }
 
-/// One shard, in isolation: its own LockSpace (1 resource) driven by a
-/// closed-loop client population until the shard's demand budget drains.
+/// One shard, in isolation: its own LockSpace driven by a closed-loop client
+/// population until the shard's demand budget drains.
 ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
                       std::uint64_t demand, bool hot) {
   ShardResult out;
@@ -47,13 +47,11 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
   mutex::LockSpaceSpec spec;
   spec.algorithm = out.algorithm;
   spec.n_nodes = out.nodes;
-  spec.n_resources = 1;
   spec.t_msg = cfg.t_msg;
   spec.t_exec = cfg.t_exec;
   spec.params = cfg.params;
   spec.seed = shard_seed;
   spec.batch_size = cfg.batch_size;
-  spec.collect_spans = true;
   if (r == 0) spec.trace_sink = cfg.trace_sink;
   mutex::LockSpace space(std::move(spec));
 
@@ -64,7 +62,7 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
   submit.reserve(out.nodes);
   think.reserve(out.nodes);
   for (std::size_t i = 0; i < out.nodes; ++i) {
-    submit.emplace_back([&space, i] { space.acquire(i, 0); });
+    submit.emplace_back([&space, i] { space.acquire(i); });
     think.push_back(
         std::make_unique<workload::PoissonArrivals>(1.0 / cfg.think_mean));
   }
@@ -77,26 +75,26 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
   gen.start();
   space.simulator().run();
 
-  out.completed = space.completed(0);
-  out.messages = space.messages(0);
+  out.completed = space.completed();
+  out.messages = space.messages();
   out.messages_per_cs =
       out.completed == 0
           ? 0.0
           : static_cast<double>(out.messages) / static_cast<double>(out.completed);
-  out.safety_violations = space.safety_violations();
+  out.safety_violations = space.monitor().violations();
   out.drained = out.completed == demand;
   out.sim_duration_units = space.simulator().now().to_units();
 
-  const obs::SpanReport* spans = space.span_report(0);
-  if (spans != nullptr && spans->completed > 0) {
-    out.grant_mean = spans->grant_wait.moments.mean();
-    out.grant_p50 = spans->grant_wait.hist.quantile(0.50);
-    out.grant_p99 = spans->grant_wait.hist.quantile(0.99);
+  const obs::SpanReport& spans = space.span_report();
+  if (spans.completed > 0) {
+    out.grant_mean = spans.grant_wait.moments.mean();
+    out.grant_p50 = spans.grant_wait.hist.quantile(0.50);
+    out.grant_p99 = spans.grant_wait.hist.quantile(0.99);
   }
   // With fewer demands than clients, even a perfectly fair service leaves
   // some clients at zero; the index is not meaningful there.
   out.fairness =
-      demand < out.nodes ? 1.0 : jain_fairness(space.completions_per_node(0));
+      demand < out.nodes ? 1.0 : jain_fairness(space.completions_per_node());
   return out;
 }
 
@@ -106,13 +104,13 @@ std::vector<std::string> LockServiceConfig::validate() const {
   std::vector<std::string> errors;
   auto& registry = mutex::Registry::instance();
   if (n_resources == 0) errors.push_back("n_resources must be > 0");
-  if (zipf_s < 0.0) errors.push_back("zipf_s must be >= 0");
+  if (!(zipf_s >= 0.0)) errors.push_back("zipf_s must be >= 0");
   if (total_demands == 0) errors.push_back("total_demands must be > 0");
   if (hot_nodes == 0) errors.push_back("hot_nodes must be > 0");
   if (cold_nodes == 0) errors.push_back("cold_nodes must be > 0");
-  if (t_msg <= 0.0) errors.push_back("t_msg must be > 0");
-  if (t_exec <= 0.0) errors.push_back("t_exec must be > 0");
-  if (think_mean <= 0.0) errors.push_back("think_mean must be > 0");
+  if (!(t_msg > 0.0)) errors.push_back("t_msg must be > 0");
+  if (!(t_exec > 0.0)) errors.push_back("t_exec must be > 0");
+  if (!(think_mean > 0.0)) errors.push_back("think_mean must be > 0");
   if (!registry.contains(hot_algorithm)) {
     errors.push_back("hot algorithm not registered: " + hot_algorithm);
   }

@@ -21,19 +21,18 @@
 
 namespace dmx::mutex {
 
-/// Typed handle for one lock demand submitted to a multi-resource
-/// LockSpace (lock_space.hpp).  Ids are assigned at acquire() time, are
-/// unique and strictly increasing within one LockSpace, and identify the
-/// demand in every on_granted / on_released notification, so clients
-/// correlate grants with their own submissions instead of polling
-/// aggregate counters.
+/// Typed handle for one lock demand submitted to a LockSpace
+/// (lock_space.hpp).  Ids are assigned at acquire() time, are unique and
+/// strictly increasing within one LockSpace, and identify the demand in
+/// every on_granted / on_released notification, so clients correlate
+/// grants with their own submissions instead of polling aggregate
+/// counters.
 ///
 /// The LockSpace notification contract:
 ///  * acquire() returns the demand's LockRequestId immediately; the demand
-///    queues FIFO per (resource, node).
+///    queues FIFO per node.
 ///  * on_granted fires exactly once per demand, when its node enters the
-///    critical section of its resource, with the id, resource, node and
-///    grant time.
+///    critical section, with the id, node and grant time.
 ///  * on_released fires exactly once per demand, after the critical
 ///    section completes — the closed-loop resubmission point.
 ///  * Hooks are sim::SmallCallback<void(const LockEvent&)> (callback.hpp):
@@ -57,10 +56,9 @@ struct LockRequestId {
 
 /// Payload of a LockSpace grant / release notification.
 struct LockEvent {
-  LockRequestId id;          ///< The demand this notification is about.
-  std::size_t resource = 0;  ///< Resource the lock guards.
-  std::size_t node = 0;      ///< Node (tenant) holding / releasing it.
-  sim::SimTime at;           ///< Grant or release time.
+  LockRequestId id;      ///< The demand this notification is about.
+  std::size_t node = 0;  ///< Node (tenant) holding / releasing the lock.
+  sim::SimTime at;       ///< Grant or release time.
 };
 
 /// One critical-section request.

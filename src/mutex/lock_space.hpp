@@ -1,30 +1,26 @@
-// Multi-resource lock space.
+// Lock space: one lock behind a ticketed acquire/release API.
 //
-// Real deployments guard many independent resources (shards, keys, files),
-// not one global critical section.  A LockSpace instantiates one complete
-// mutual exclusion protocol per resource — its own logical network and its
-// own per-node algorithm instances — all driven by a single shared virtual
-// clock, so cross-resource parallelism and aggregate message bills can be
-// studied.  Any registered algorithm works; resources are fully independent
-// (a grant on resource A never waits on resource B).
+// A LockSpace runs one complete mutual exclusion protocol — its own
+// network and one instance of a registered algorithm per node — on the
+// simulator of its one MutexCluster, and turns the per-node CS drivers into
+// a lock: acquire() hands out a ticket, and the grant and release hooks
+// fire with it.  Any registered algorithm works.  Many locks are many
+// spaces, each on its own clock: the sharded lock-service scenario
+// (harness/lock_service.hpp) runs one space per shard, so shards fan out
+// over workers and hot and cold shards can run different algorithms.
 //
 // The plain LockSpaceSpec aggregate is the whole configuration:
 //
 //   mutex::LockSpaceSpec spec;
 //   spec.algorithm = "raymond";
-//   spec.n_resources = 1024;
 //   spec.n_nodes = 16;
 //   spec.batch_size = 32;
-//   spec.collect_spans = true;
 //   mutex::LockSpace space(spec);
 //   space.set_on_granted([](const LockEvent& e) { ... });
-//   LockRequestId id = space.acquire(node, resource);
+//   LockRequestId id = space.acquire(node);
 //
 // LockSpaceSpec::validate() reports *every* configuration error at once;
-// the ctor throws the joined list.  Every resource runs the same algorithm
-// over the same node count; the sharded lock-service scenario
-// (harness/lock_service.hpp) gives hot and cold shards different ones by
-// running one single-resource space per shard.
+// the ctor throws the joined list.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +43,8 @@ namespace dmx::mutex {
 /// Full description of a lock space.  Plain aggregate — fill it directly;
 /// validate() tells you everything wrong with it.
 struct LockSpaceSpec {
-  std::string algorithm = "arbiter-tp";  ///< Run on every resource.
-  std::size_t n_nodes = 8;               ///< Nodes per resource.
-  std::size_t n_resources = 4;
+  std::string algorithm = "arbiter-tp";
+  std::size_t n_nodes = 8;
   double t_msg = 0.1;
   double t_exec = 0.1;
   ParamSet params;  ///< Algorithm parameters.
@@ -59,13 +54,8 @@ struct LockSpaceSpec {
   /// so nothing ever sticks).  0 = unbatched, every acquire submits
   /// immediately (the legacy behavior).
   std::size_t batch_size = 0;
-  /// Assemble per-resource request-lifecycle spans (obs/span.hpp); exposes
-  /// span_report(resource) with the grant_wait (time-to-grant) phase the
-  /// lock-service SLO tables quote p99s of.  Phase histograms span
-  /// [0, 1000) time units.
-  bool collect_spans = false;
-  /// Optional downstream sink receiving every resource's trace events (and
-  /// completed spans when collect_spans is on).
+  /// Optional downstream sink receiving every trace event and completed
+  /// request-lifecycle span.
   std::shared_ptr<obs::Sink> trace_sink;
 
   /// Validate without building: one actionable message per problem (zero
@@ -78,7 +68,6 @@ struct LockSpaceSpec {
 /// One lock demand, as acquire() buffers it while batching.
 struct LockDemand {
   std::size_t node = 0;
-  std::size_t resource = 0;
   int priority = 0;
 };
 
@@ -93,18 +82,16 @@ class LockSpace {
   LockSpace(const LockSpace&) = delete;
   LockSpace& operator=(const LockSpace&) = delete;
 
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
+  [[nodiscard]] sim::Simulator& simulator() { return cluster_->simulator(); }
   [[nodiscard]] const LockSpaceSpec& spec() const { return spec_; }
   [[nodiscard]] std::size_t nodes() const { return spec_.n_nodes; }
-  [[nodiscard]] std::size_t resources() const { return spec_.n_resources; }
 
-  /// Submit lock demand: node wants resource (queued FIFO per
-  /// node+resource).  Returns the demand's ticket; on_granted/on_released
-  /// fire with it.  With batching on, the demand is buffered and hits the
-  /// protocol at the next flush (same timestamp — a zero-delay auto-flush
-  /// is scheduled whenever the buffer becomes non-empty).
-  LockRequestId acquire(std::size_t node, std::size_t resource,
-                        int priority = 0);
+  /// Submit lock demand: node wants the lock (queued FIFO per node).
+  /// Returns the demand's ticket; on_granted/on_released fire with it.  With
+  /// batching on, the demand is buffered and hits the protocol at the next
+  /// flush (same timestamp — a zero-delay auto-flush is scheduled whenever
+  /// the buffer becomes non-empty).
+  LockRequestId acquire(std::size_t node, int priority = 0);
 
   /// Force any buffered demands into the protocol now.  No-op when
   /// unbatched or empty.
@@ -114,61 +101,47 @@ class LockSpace {
   void set_on_granted(LockHook hook) { on_granted_ = std::move(hook); }
   void set_on_released(LockHook hook) { on_released_ = std::move(hook); }
 
-  /// Per-resource exclusivity monitor.
-  [[nodiscard]] const SafetyMonitor& monitor(std::size_t resource) const {
-    return shards_[resource]->monitor();
+  /// The lock's exclusivity monitor.
+  [[nodiscard]] const SafetyMonitor& monitor() const {
+    return cluster_->monitor();
   }
-  [[nodiscard]] std::uint64_t safety_violations() const;
 
-  /// Grants completed / demands submitted, summed over everything.
-  /// Buffered-but-unflushed demands count as submitted (they hold tickets).
-  [[nodiscard]] std::uint64_t total_completed() const;
-  [[nodiscard]] std::uint64_t total_submitted() const;
-  [[nodiscard]] std::uint64_t completed(std::size_t resource) const;
+  /// Grants completed / demands submitted.  Buffered-but-unflushed demands
+  /// count as submitted (they hold tickets).
+  [[nodiscard]] std::uint64_t completed() const;
+  [[nodiscard]] std::uint64_t submitted() const;
 
-  /// Messages sent on a resource's network / across all of them.
-  [[nodiscard]] std::uint64_t messages(std::size_t resource) const;
-  [[nodiscard]] std::uint64_t total_messages() const;
+  /// Messages sent on the lock's network.
+  [[nodiscard]] std::uint64_t messages() const;
 
-  /// Lock-wait statistics (arrival -> release) aggregated over all nodes of
-  /// one resource.
-  [[nodiscard]] stats::Welford sojourn(std::size_t resource) const;
+  /// Lock-wait statistics (arrival -> release) aggregated over all nodes.
+  [[nodiscard]] stats::Welford sojourn() const;
 
-  /// Per-resource completions by node (tenant-fairness raw material).
-  [[nodiscard]] std::vector<std::uint64_t> completions_per_node(
-      std::size_t resource) const;
+  /// Completions by node (tenant-fairness raw material).
+  [[nodiscard]] std::vector<std::uint64_t> completions_per_node() const;
 
-  /// Per-resource lifecycle decomposition; null unless spec.collect_spans.
-  /// grant_wait is the time-to-grant SLO phase.
-  [[nodiscard]] const obs::SpanReport* span_report(std::size_t resource);
-
-  /// Highest number of resources ever held concurrently (across distinct
-  /// resources, by any nodes) — proof of cross-resource parallelism.
-  [[nodiscard]] int max_parallel_grants() const { return max_parallel_; }
+  /// Request-lifecycle decomposition (obs/span.hpp); grant_wait is the
+  /// time-to-grant SLO phase the lock-service tables quote p99s of.  Phase
+  /// histograms span [0, 1000) time units.
+  [[nodiscard]] const obs::SpanReport& span_report();
 
  private:
   void submit_now(const LockDemand& d);
-  void on_driver_granted(std::size_t resource, std::size_t node);
-  void on_driver_released(std::size_t resource, std::size_t node);
+  void on_driver_granted(std::size_t node);
+  void on_driver_released(std::size_t node);
 
   LockSpaceSpec spec_;
-  sim::Simulator sim_;
-  // One id source across resources: request ids (and so every trace and
-  // span) stay unique over the whole space.
-  RequestIdSource ids_;
-  std::vector<std::unique_ptr<MutexCluster>> shards_;  // per resource
-  std::vector<std::shared_ptr<obs::SpanCollector>> span_collectors_;
-  // FIFO ticket ledger per (resource, node): CsDriver queues demand FIFO
-  // with at most one CS in flight, so the front ticket is always the one
-  // being granted / released.  Popped on release.
-  std::vector<std::vector<std::deque<LockRequestId>>> pending_;
+  std::shared_ptr<obs::SpanCollector> spans_;
+  std::unique_ptr<MutexCluster> cluster_;
+  // FIFO ticket ledger per node: CsDriver queues demand FIFO with at most
+  // one CS in flight, so the front ticket is always the one being granted /
+  // released.  Popped on release.
+  std::vector<std::deque<LockRequestId>> pending_;
   std::vector<LockDemand> batch_buffer_;
   LockHook on_granted_;
   LockHook on_released_;
   std::uint64_t next_ticket_ = 1;
   bool flush_scheduled_ = false;
-  int current_parallel_ = 0;
-  int max_parallel_ = 0;
 };
 
 }  // namespace dmx::mutex

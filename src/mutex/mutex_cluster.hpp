@@ -5,8 +5,8 @@
 // runtime::Cluster, installs one Registry instance of the named algorithm
 // per node, gives every node a CsDriver on one shared SafetyMonitor, one
 // RequestIdSource and the cluster's tracer, and starts the cluster.  The
-// experiment runner, LockSpace (one per resource), the explorer's World,
-// the tools, examples, benches and test fixtures all build through it.
+// experiment runner, LockSpace, the explorer's World, the tools, examples,
+// benches and test fixtures all build through it.
 //
 // A crash needs no extra call: Cluster::crash_node reaches each driver
 // through its algorithm (the CsListener that grants take too), which voids
@@ -43,15 +43,6 @@ class MutexCluster {
                std::optional<net::ReliableTransportConfig> reliable =
                    std::nullopt);
 
-  /// One of several clusters on a shared clock (LockSpace: one per
-  /// resource).  The shared `ids` keep request ids unique across them.
-  /// Both must outlive the cluster.
-  MutexCluster(sim::Simulator& sim, RequestIdSource& ids,
-               const std::string& algorithm, std::size_t n_nodes,
-               const ParamSet& params, sim::SimTime t_exec,
-               std::unique_ptr<net::DelayModel> delay, std::uint64_t seed,
-               obs::Tracer tracer = {});
-
   MutexCluster(const MutexCluster&) = delete;
   MutexCluster& operator=(const MutexCluster&) = delete;
 
@@ -74,12 +65,8 @@ class MutexCluster {
   [[nodiscard]] std::uint64_t total_submitted() const;
 
  private:
-  void populate(const std::string& algorithm, const ParamSet& params,
-                sim::SimTime t_exec);
-
   SafetyMonitor monitor_;
-  RequestIdSource own_ids_;
-  RequestIdSource* ids_;
+  RequestIdSource ids_;
   runtime::Cluster cluster_;
   std::vector<MutexAlgorithm*> algos_;
   std::vector<std::unique_ptr<CsDriver>> drivers_;

@@ -4,7 +4,7 @@ namespace dmx::runtime {
 
 Cluster::Cluster(std::size_t n_nodes, std::unique_ptr<net::DelayModel> delay,
                  std::uint64_t seed, obs::Tracer tracer)
-    : owned_sim_(std::make_unique<sim::Simulator>()), sim_(owned_sim_.get()),
+    : sim_(std::make_unique<sim::Simulator>()),
       net_(std::make_unique<net::Network>(*sim_, n_nodes, std::move(delay),
                                           seed)),
       tracer_(std::move(tracer)), processes_(n_nodes), endpoints_(n_nodes),
@@ -12,17 +12,6 @@ Cluster::Cluster(std::size_t n_nodes, std::unique_ptr<net::DelayModel> delay,
   // Reserve event storage for a broadcast-heavy steady state (one in-flight
   // message per node plus timer slack) so large-N runs build their working
   // set once instead of growing it mid-run.
-  sim_->reserve(2 * n_nodes + 64);
-}
-
-Cluster::Cluster(sim::Simulator& shared_sim, std::size_t n_nodes,
-                 std::unique_ptr<net::DelayModel> delay, std::uint64_t seed,
-                 obs::Tracer tracer)
-    : sim_(&shared_sim),
-      net_(std::make_unique<net::Network>(*sim_, n_nodes, std::move(delay),
-                                          seed)),
-      tracer_(std::move(tracer)), processes_(n_nodes), endpoints_(n_nodes),
-      seed_(seed) {
   sim_->reserve(2 * n_nodes + 64);
 }
 

@@ -21,13 +21,6 @@ class Cluster {
   Cluster(std::size_t n_nodes, std::unique_ptr<net::DelayModel> delay,
           std::uint64_t seed, obs::Tracer tracer = {});
 
-  /// Share an externally owned simulator (several clusters on one virtual
-  /// clock, e.g. one network per lock resource in mutex::LockSpace).  The
-  /// simulator must outlive the cluster.
-  Cluster(sim::Simulator& shared_sim, std::size_t n_nodes,
-          std::unique_ptr<net::DelayModel> delay, std::uint64_t seed,
-          obs::Tracer tracer = {});
-
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -73,8 +66,7 @@ class Cluster {
   void restart_node(net::NodeId id);
 
  private:
-  std::unique_ptr<sim::Simulator> owned_sim_;  ///< Null when shared.
-  sim::Simulator* sim_;
+  std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::Network> net_;
   obs::Tracer tracer_;
   std::vector<std::unique_ptr<Process>> processes_;
