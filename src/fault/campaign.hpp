@@ -49,8 +49,8 @@ class CampaignRunner {
     return plan_.size() - executed_;
   }
 
-  /// Targeted drops ("lose-next") that executed but whose one-shot predicate
-  /// has not yet matched a message.  A finished campaign can assert this is
+  /// Targeted drops ("lose-next") that executed but whose one-shot has not
+  /// yet matched a message.  A finished campaign can assert this is
   /// zero to prove every scripted drop actually fired.
   [[nodiscard]] std::size_t unfired_targeted_drops() const;
 

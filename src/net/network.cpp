@@ -65,7 +65,7 @@ void Network::send(NodeId src, NodeId dst, PayloadPtr payload) {
   const sim::SimTime latency = base + faults_.reorder_penalty(base);
   env.delivered_at = sim_.now() + latency;
 
-  // Fault-layer duplication: each retired duplicate_next one-shot injects one
+  // Fault-layer duplication: each retired duplication one-shot injects one
   // extra copy of this very frame (same msg_id), arriving at the same instant
   // but after the original (FIFO tie-break) — the classic duplicated datagram
   // a reliable transport must suppress.  No-op (and no state touched) when no

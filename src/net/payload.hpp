@@ -102,7 +102,7 @@ class Msg : public Payload {
 
  private:
   /// Forces registration during static initialization so name-keyed
-  /// configuration (loss tables, drop predicates) can be validated against
+  /// configuration (loss tables, one-shot drops) can be validated against
   /// every linked message type before any message is constructed.
   static inline const MsgKind kEagerKind = Derived::message_kind();
 };
