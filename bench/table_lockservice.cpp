@@ -60,7 +60,6 @@ dmx::harness::LockServiceConfig rung_config(std::size_t resources,
   ls.hot_nodes = 16;
   ls.cold_nodes = 4;
   ls.think_mean = 1.0;
-  ls.batch_size = 16;
   ls.seed = 42;
   return ls;
 }

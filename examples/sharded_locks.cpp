@@ -2,20 +2,23 @@
 //
 // A distributed storage system guards each shard with its own lock.  Demand
 // is Zipf-ish: shard 0 is hot, the tail is cold.  Each shard is its own
-// mutex::LockSpace, a full instance of the chosen mutual exclusion protocol
-// with its own clock and its own Poisson arrivals, so the example shows how
-// each algorithm's message bill scales with per-shard load — the arbiter
-// algorithm gets *cheaper* per CS on the hot shard (batching!) while
-// permission-based schemes do not.  It exits 1 if a shard breaks mutual
-// exclusion or leaves demand unserved.
+// mutex::MutexCluster, a full instance of the chosen mutual exclusion
+// protocol with its own clock and its own Poisson arrivals, so the example
+// shows how each algorithm's message bill scales with per-shard load — the
+// arbiter algorithm gets *cheaper* per CS on the hot shard (batching!)
+// while permission-based schemes do not.  It exits 1 if a shard breaks
+// mutual exclusion or leaves demand unserved.
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
-#include "mutex/lock_space.hpp"
+#include "mutex/mutex_cluster.hpp"
+#include "net/delay_model.hpp"
 #include "sim/rng.hpp"
+#include "stats/welford.hpp"
 
 namespace {
 
@@ -33,31 +36,32 @@ struct ShardReport {
 ShardReport run_shard(const std::string& algorithm, std::size_t shard,
                       std::uint64_t ops, double rate) {
   using namespace dmx;
-  mutex::LockSpaceSpec spec;
-  spec.algorithm = algorithm;
-  spec.n_nodes = static_cast<std::size_t>(kNodes);
-  spec.t_exec = 0.05;
-  spec.seed = 77 + shard;
-  mutex::LockSpace space(spec);
+  mutex::MutexCluster mc(
+      algorithm, static_cast<std::size_t>(kNodes), {},
+      sim::SimTime::units(0.05),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(0.1)),
+      (77 + shard) * 7919);
 
   sim::Rng rng(31 + shard);
   double t = 0.0;
   for (std::uint64_t k = 0; k < ops; ++k) {
     t += rng.exponential(rate);
     const auto node = static_cast<std::size_t>(rng.uniform_int(0, kNodes - 1));
-    space.simulator().schedule_at(sim::SimTime::units(t),
-                                  [&space, node] { space.acquire(node); });
+    mc.simulator().schedule_at(sim::SimTime::units(t),
+                               [&mc, node] { mc.driver(node).submit(); });
   }
-  space.simulator().run();
+  mc.simulator().run();
 
   ShardReport rep;
-  rep.completed = space.completed();
+  rep.completed = mc.total_completed();
   rep.msgs_per_op = rep.completed > 0
-                        ? static_cast<double>(space.messages()) /
+                        ? static_cast<double>(mc.network().stats().sent) /
                               static_cast<double>(rep.completed)
                         : 0.0;
-  rep.mean_wait = space.sojourn().mean();
-  rep.violations = space.monitor().violations();
+  stats::Welford wait;
+  for (const mutex::CsDriver* d : mc.drivers()) wait.merge(d->sojourn_time());
+  rep.mean_wait = wait.mean();
+  rep.violations = mc.monitor().violations();
   return rep;
 }
 

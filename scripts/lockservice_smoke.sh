@@ -27,7 +27,7 @@ trap 'rm -rf "$WORK"' EXIT
 FAILURES=0
 
 SERVICE=(--resources 16 --zipf-s 0.9 --n 6 --lambda 2.0 --requests 4000 \
-         --batch 8 --shard-algo hot=arbiter-tp,cold=path-reversal)
+         --shard-algo hot=arbiter-tp,cold=path-reversal)
 
 echo "=== lockservice smoke: Zipf service run + manifest validation"
 if "$SWEEP" "${SERVICE[@]}" --jobs 1 --emit-json "$WORK/serial.json" \

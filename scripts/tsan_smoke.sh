@@ -45,7 +45,7 @@ for algo in arbiter-tp ricart-agrawala singhal; do
 done
 
 SERVICE=(--resources 16 --zipf-s 0.9 --n 6 --lambda 2.0 --requests 4000 \
-         --batch 8 --shard-algo hot=arbiter-tp,cold=path-reversal)
+         --shard-algo hot=arbiter-tp,cold=path-reversal)
 echo "=== tsan smoke: lock-service fan-out (--jobs 4 vs --jobs 1)"
 if ! serial=$("$SWEEP" "${SERVICE[@]}" --jobs 1 2>&1); then
   echo "$serial"

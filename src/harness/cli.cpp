@@ -143,12 +143,11 @@ std::vector<std::string> unread_flags(const CliOptions& opts) {
     check(ls.hot_algorithm != d.service.hot_algorithm ||
               ls.cold_algorithm != d.service.cold_algorithm,
           "--shard-algo");
-    check(ls.batch_size != d.service.batch_size, "--batch");
   }
   return errors;
 }
 
-/// The lock-service run of `ls` (--resources/--zipf-s/--shard-algo/--batch)
+/// The lock-service run of `ls` (--resources/--zipf-s/--shard-algo)
 /// with every field it shares with the sweep derived from `first`, the
 /// sweep's first point.
 LockServiceConfig service_run(LockServiceConfig ls,
@@ -180,8 +179,7 @@ int run_lock_service_cli(const CliOptions& opts, const ExperimentConfig& first,
   os << "lock service: " << ls.n_resources << " resources  zipf_s="
      << Table::num(ls.zipf_s, 2) << "  demand=" << ls.total_demands
      << "  hot=" << ls.hot_algorithm << "/" << ls.hot_nodes
-     << "  cold=" << ls.cold_algorithm << "/" << ls.cold_nodes
-     << "  batch=" << ls.batch_size << "\n";
+     << "  cold=" << ls.cold_algorithm << "/" << ls.cold_nodes << "\n";
 
   // Shards sorted hottest-first for the report; CSV mode emits every shard,
   // the pretty table the head of the ranking.
@@ -272,7 +270,6 @@ usage: dmx_sweep [flags]
   --zipf-s S             Zipf popularity skew          [0.9]
   --shard-algo SPEC      per-shard algorithms, e.g.
                          hot=arbiter-tp,cold=path-reversal (key alone ok)
-  --batch B              LockSpace demand batching     [16] (0 = unbatched)
   --trace-out FILE       write a structured event trace of the sweep's
                          first run (first lambda, first seed)
   --trace-format FMT     jsonl | chrome | text         [jsonl]
@@ -393,9 +390,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-    } else if (a == "--batch") {
-      o.service.batch_size =
-          static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
     } else if (a == "--trace-out") {
       o.trace_out = need_value(i++, a);
     } else if (a == "--trace-format") {

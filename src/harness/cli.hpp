@@ -22,7 +22,7 @@ struct CliOptions {
   /// run at one entry of `lambdas` and one seed of seed_schedule; its own
   /// lambda is not read.
   ExperimentConfig cfg;
-  /// --resources/--zipf-s/--shard-algo/--batch.  n_resources > 1 runs this
+  /// --resources/--zipf-s/--shard-algo.  n_resources > 1 runs this
   /// lock service once instead of the sweep; its other fields are derived
   /// from `cfg` and the first lambda when it runs.
   LockServiceConfig service;

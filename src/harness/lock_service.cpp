@@ -6,8 +6,10 @@
 
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
-#include "mutex/lock_space.hpp"
+#include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
+#include "net/delay_model.hpp"
+#include "obs/span.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/closed_loop.hpp"
 #include "workload/zipf.hpp"
@@ -15,6 +17,9 @@
 namespace dmx::harness {
 
 namespace {
+
+/// Upper edge of every span phase histogram (time units).
+constexpr double kSpanHistMax = 1000.0;
 
 std::string join_errors(const std::vector<std::string>& errors) {
   std::string msg = "LockServiceConfig invalid:";
@@ -25,8 +30,8 @@ std::string join_errors(const std::vector<std::string>& errors) {
   return msg;
 }
 
-/// One shard, in isolation: its own LockSpace driven by a closed-loop client
-/// population until the shard's demand budget drains.
+/// One shard, in isolation: its own MutexCluster driven by a closed-loop
+/// client population until the shard's demand budget drains.
 ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
                       std::uint64_t demand, bool hot) {
   ShardResult out;
@@ -44,57 +49,55 @@ ShardResult run_shard(const LockServiceConfig& cfg, std::size_t r,
   // serially or on any worker.
   const std::uint64_t shard_seed = seed_schedule(cfg.seed, r);
 
-  mutex::LockSpaceSpec spec;
-  spec.algorithm = out.algorithm;
-  spec.n_nodes = out.nodes;
-  spec.t_msg = cfg.t_msg;
-  spec.t_exec = cfg.t_exec;
-  spec.params = cfg.params;
-  spec.seed = shard_seed;
-  spec.batch_size = cfg.batch_size;
-  if (r == 0) spec.trace_sink = cfg.trace_sink;
-  mutex::LockSpace space(std::move(spec));
+  // Every shard collects the request spans its time-to-grant SLOs come
+  // from; shard 0 also forwards its events to the service's trace sink.
+  const auto spans = std::make_shared<obs::SpanCollector>(
+      r == 0 ? cfg.trace_sink : nullptr, kSpanHistMax);
+  mutex::MutexCluster mc(
+      out.algorithm, out.nodes, cfg.params, sim::SimTime::units(cfg.t_exec),
+      std::make_unique<net::ConstantDelay>(sim::SimTime::units(cfg.t_msg)),
+      shard_seed * 7919, obs::Tracer(spans));
 
-  // Closed-loop clients: one per node, submitting through the redesigned
-  // acquire() API; the on_released hook is the resubmission signal.
-  std::vector<workload::ClosedLoopGenerator::SubmitFn> submit;
+  // Closed-loop clients, one per node: each thinks ~Exp(think_mean),
+  // submits, and thinks again once its critical section completes.
   std::vector<std::unique_ptr<workload::ArrivalProcess>> think;
-  submit.reserve(out.nodes);
   think.reserve(out.nodes);
   for (std::size_t i = 0; i < out.nodes; ++i) {
-    submit.emplace_back([&space, i] { space.acquire(i); });
     think.push_back(
         std::make_unique<workload::PoissonArrivals>(1.0 / cfg.think_mean));
   }
-  workload::ClosedLoopGenerator gen(space.simulator(), std::move(submit),
+  workload::ClosedLoopGenerator gen(mc.simulator(), mc.drivers(),
                                     std::move(think), demand,
                                     shard_seed * 31 + 7);
-  space.set_on_released([&gen](const mutex::LockEvent& e) {
-    gen.notify_complete(e.node);
-  });
   gen.start();
-  space.simulator().run();
+  mc.simulator().run();
 
-  out.completed = space.completed();
-  out.messages = space.messages();
+  out.completed = mc.total_completed();
+  out.messages = mc.network().stats().sent;
   out.messages_per_cs =
       out.completed == 0
           ? 0.0
           : static_cast<double>(out.messages) / static_cast<double>(out.completed);
-  out.safety_violations = space.monitor().violations();
+  out.safety_violations = mc.monitor().violations();
   out.drained = out.completed == demand;
-  out.sim_duration_units = space.simulator().now().to_units();
+  out.sim_duration_units = mc.simulator().now().to_units();
 
-  const obs::SpanReport& spans = space.span_report();
-  if (spans.completed > 0) {
-    out.grant_mean = spans.grant_wait.moments.mean();
-    out.grant_p50 = spans.grant_wait.hist.quantile(0.50);
-    out.grant_p99 = spans.grant_wait.hist.quantile(0.99);
+  const obs::SpanReport& report = spans->report();
+  if (report.completed > 0) {
+    out.grant_mean = report.grant_wait.moments.mean();
+    out.grant_p50 = report.grant_wait.hist.quantile(0.50);
+    out.grant_p99 = report.grant_wait.hist.quantile(0.99);
   }
   // With fewer demands than clients, even a perfectly fair service leaves
   // some clients at zero; the index is not meaningful there.
-  out.fairness =
-      demand < out.nodes ? 1.0 : jain_fairness(space.completions_per_node());
+  if (demand >= out.nodes) {
+    std::vector<std::uint64_t> per_client;
+    per_client.reserve(out.nodes);
+    for (const mutex::CsDriver* d : mc.drivers()) {
+      per_client.push_back(d->completed());
+    }
+    out.fairness = jain_fairness(per_client);
+  }
   return out;
 }
 

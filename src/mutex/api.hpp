@@ -8,7 +8,6 @@
 // critical section completes.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -20,46 +19,6 @@
 #include "sim/time.hpp"
 
 namespace dmx::mutex {
-
-/// Typed handle for one lock demand submitted to a LockSpace
-/// (lock_space.hpp).  Ids are assigned at acquire() time, are unique and
-/// strictly increasing within one LockSpace, and identify the demand in
-/// every on_granted / on_released notification, so clients correlate
-/// grants with their own submissions instead of polling aggregate
-/// counters.
-///
-/// The LockSpace notification contract:
-///  * acquire() returns the demand's LockRequestId immediately; the demand
-///    queues FIFO per node.
-///  * on_granted fires exactly once per demand, when its node enters the
-///    critical section, with the id, node and grant time.
-///  * on_released fires exactly once per demand, after the critical
-///    section completes — the closed-loop resubmission point.
-///  * Hooks are sim::SmallCallback<void(const LockEvent&)> (callback.hpp):
-///    captures up to the inline budget never allocate, keeping the grant
-///    path on the zero-allocation plane.
-///  * This id is the *client-facing* identity.  The protocol-level
-///    CsRequest::request_id underneath is assigned later (at issue time,
-///    when the demand leaves the local FIFO) and is what traces and spans
-///    key on; the two are distinct by design.
-struct LockRequestId {
-  std::uint64_t value = 0;  ///< 0 = invalid / never assigned.
-
-  [[nodiscard]] explicit operator bool() const { return value != 0; }
-  friend bool operator==(LockRequestId a, LockRequestId b) {
-    return a.value == b.value;
-  }
-  friend bool operator!=(LockRequestId a, LockRequestId b) {
-    return a.value != b.value;
-  }
-};
-
-/// Payload of a LockSpace grant / release notification.
-struct LockEvent {
-  LockRequestId id;      ///< The demand this notification is about.
-  std::size_t node = 0;  ///< Node (tenant) holding / releasing the lock.
-  sim::SimTime at;       ///< Grant or release time.
-};
 
 /// One critical-section request.
 struct CsRequest {

@@ -5,8 +5,8 @@
 // runtime::Cluster, installs one Registry instance of the named algorithm
 // per node, gives every node a CsDriver on one shared SafetyMonitor, one
 // RequestIdSource and the cluster's tracer, and starts the cluster.  The
-// experiment runner, LockSpace, the explorer's World, the tools, examples,
-// benches and test fixtures all build through it.
+// experiment runner, each lock-service shard, the explorer's World, the
+// tools, examples, benches and test fixtures all build through it.
 //
 // A crash needs no extra call: Cluster::crash_node reaches each driver
 // through its algorithm (the CsListener that grants take too), which voids

@@ -1,20 +1,17 @@
-// Small-buffer-optimized move-only callables for simulator events and hooks.
+// Small-buffer-optimized move-only callable for simulator events.
 //
 // Every message in flight is one scheduled closure; with std::function the
 // typical capture (an Envelope plus a this-pointer, ~48 bytes) exceeds
-// libstdc++'s 16-byte inline buffer and allocates.  SmallCallback inlines up
-// to kInlineBytes of capture state in the event slot itself, so scheduling a
+// libstdc++'s 16-byte inline buffer and allocates.  SmallFn inlines up to
+// kInlineBytes of capture state in the event slot itself, so scheduling a
 // delivery is pointer shuffling, not heap traffic.  Oversized or
 // potentially-throwing-on-move callables transparently fall back to the
 // heap; behaviour is identical either way.
 //
-// SmallCallback is templated on the call signature so typed notification
-// hooks (e.g. mutex::LockSpace's on_granted/on_released, which pass a
-// LockEvent) ride the same zero-allocation plane as the classic void()
-// simulator events; SmallFn is what every event slot holds.  The type is
-// move-only (closures holding PayloadPtr refcounts must not be silently
-// duplicated) and deliberately tiny in API: construct or emplace from any
-// compatible callable, test for emptiness, invoke.
+// SmallFn is what every event slot holds.  The type is move-only (closures
+// holding PayloadPtr refcounts must not be silently duplicated) and
+// deliberately tiny in API: construct or emplace from any void() callable,
+// test for emptiness, invoke.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +29,8 @@ template <typename Sig>
 inline constexpr bool kIsStdFunction<std::function<Sig>> = true;
 }  // namespace detail
 
-/// True if `f` is an empty std::function: the one callable that
-/// SmallCallback stays empty for instead of wrapping.
+/// True if `f` is an empty std::function: the one callable that SmallFn
+/// stays empty for instead of wrapping.
 template <typename F>
 constexpr bool is_empty_function(const F& f) {
   if constexpr (detail::kIsStdFunction<F>) {
@@ -43,40 +40,35 @@ constexpr bool is_empty_function(const F& f) {
   }
 }
 
-template <typename Sig>
-class SmallCallback;
-
-template <typename R, typename... Args>
-class SmallCallback<R(Args...)> {
+class SmallFn {
  public:
   /// Room for a network-delivery closure (this + Envelope = 48 bytes) with
   /// headroom for driver/timer lambdas; measured, not sacred.
   static constexpr std::size_t kInlineBytes = 80;
 
-  constexpr SmallCallback() noexcept = default;
-  constexpr SmallCallback(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
+  constexpr SmallFn() noexcept = default;
+  constexpr SmallFn(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
 
   template <typename F,
             typename Fn = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<Fn, SmallCallback> &&
-                                        std::is_invocable_r_v<R, Fn&, Args...>>>
-  SmallCallback(F&& f) {  // NOLINT(runtime/explicit)
+            typename = std::enable_if_t<!std::is_same_v<Fn, SmallFn> &&
+                                        std::is_invocable_r_v<void, Fn&>>>
+  SmallFn(F&& f) {  // NOLINT(runtime/explicit)
     emplace(std::forward<F>(f));
   }
 
   /// Replaces the target with a decayed copy of `f`, built directly in the
   /// inline buffer when it fits: a closure written at the call site is
-  /// moved zero times on its way into an event slot.  Another SmallCallback
-  /// is moved in.  An empty std::function leaves this empty instead of being
+  /// moved zero times on its way into an event slot.  Another SmallFn is
+  /// moved in.  An empty std::function leaves this empty instead of being
   /// wrapped (callers, and tests, rely on scheduling an empty callback being
   /// rejected), and so does a constructor that throws.
   template <typename F, typename Fn = std::decay_t<F>,
-            typename = std::enable_if_t<std::is_same_v<Fn, SmallCallback> ||
-                                        std::is_invocable_r_v<R, Fn&, Args...>>>
+            typename = std::enable_if_t<std::is_same_v<Fn, SmallFn> ||
+                                        std::is_invocable_r_v<void, Fn&>>>
   void emplace(F&& f) {
-    if constexpr (std::is_same_v<Fn, SmallCallback>) {
-      static_assert(!std::is_lvalue_reference_v<F>,
-                    "SmallCallback is move-only");
+    if constexpr (std::is_same_v<Fn, SmallFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "SmallFn is move-only");
       *this = std::move(f);
     } else {
       destroy();
@@ -93,27 +85,25 @@ class SmallCallback<R(Args...)> {
     }
   }
 
-  SmallCallback(SmallCallback&& o) noexcept { move_from(o); }
-  SmallCallback& operator=(SmallCallback&& o) noexcept {
+  SmallFn(SmallFn&& o) noexcept { move_from(o); }
+  SmallFn& operator=(SmallFn&& o) noexcept {
     if (this != &o) {
       destroy();
       move_from(o);
     }
     return *this;
   }
-  SmallCallback(const SmallCallback&) = delete;
-  SmallCallback& operator=(const SmallCallback&) = delete;
-  ~SmallCallback() { destroy(); }
+  SmallFn(const SmallFn&) = delete;
+  SmallFn& operator=(const SmallFn&) = delete;
+  ~SmallFn() { destroy(); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  R operator()(Args... args) {
-    return ops_->invoke(obj_, std::forward<Args>(args)...);
-  }
+  void operator()() { ops_->invoke(obj_); }
 
  private:
   struct Ops {
-    R (*invoke)(void*, Args&&...);
+    void (*invoke)(void*);
     void (*destroy)(void*) noexcept;
     /// Relocate src's target into dst_buf (inline) or steal it (heap);
     /// returns the new object pointer.  src is dead afterwards.
@@ -122,9 +112,7 @@ class SmallCallback<R(Args...)> {
 
   template <typename Fn, bool kInline>
   struct OpsImpl {
-    static R invoke(void* p, Args&&... args) {
-      return (*static_cast<Fn*>(p))(std::forward<Args>(args)...);
-    }
+    static void invoke(void* p) { (*static_cast<Fn*>(p))(); }
     static void destroy(void* p) noexcept {
       if constexpr (kInline) {
         static_cast<Fn*>(p)->~Fn();
@@ -145,7 +133,7 @@ class SmallCallback<R(Args...)> {
     static constexpr Ops kOps{&invoke, &destroy, &relocate};
   };
 
-  void move_from(SmallCallback& o) noexcept {
+  void move_from(SmallFn& o) noexcept {
     ops_ = o.ops_;
     if (ops_ != nullptr) obj_ = ops_->relocate(buf_, o.obj_);
     o.ops_ = nullptr;
@@ -164,9 +152,5 @@ class SmallCallback<R(Args...)> {
   void* obj_ = nullptr;
   alignas(std::max_align_t) std::byte buf_[kInlineBytes];
 };
-
-/// The classic simulator-event callable: every scheduled closure is one of
-/// these.
-using SmallFn = SmallCallback<void()>;
 
 }  // namespace dmx::sim

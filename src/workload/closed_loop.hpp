@@ -7,17 +7,13 @@
 // matches the paper's heavy-load analysis ("all nodes will have at least
 // one pending request") exactly when think time is zero.
 //
-// Two client bindings:
-//  * the historical one drives mutex::CsDriver instances directly (one
-//    client per driver, completion detected via the driver callback);
-//  * the generic one drives opaque submit functions and is told about
-//    completions via notify_complete(client) — this is how the sharded
-//    lock-service scenario runs closed loops against the LockSpace API
-//    (acquire + on_released hook) without reaching into its drivers.
+// Each mutex::CsDriver is one client: the generator owns the drivers'
+// completion callbacks and starts the client's next think period from
+// there.  The sharded lock service (harness/lock_service.hpp) runs every
+// shard's MutexCluster under this generator.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -30,23 +26,10 @@ namespace dmx::workload {
 
 class ClosedLoopGenerator {
  public:
-  /// One client's demand entry point (e.g. LockSpace::acquire bound to a
-  /// fixed node+resource).
-  using SubmitFn = std::function<void()>;
-
-  /// Historical binding: each driver is one client; a client resubmits
-  /// `think` after each CS completion (the generator owns the drivers'
-  /// completion callbacks).  Stops after `total_requests` global
-  /// submissions.
+  /// Each driver is one client; a client resubmits `think` after each CS
+  /// completion.  Stops after `total_requests` global submissions.
   ClosedLoopGenerator(sim::Simulator& sim,
                       std::vector<mutex::CsDriver*> drivers,
-                      std::vector<std::unique_ptr<ArrivalProcess>> think,
-                      std::uint64_t total_requests, std::uint64_t seed);
-
-  /// Generic binding: each submit function is one client; the caller must
-  /// call notify_complete(client) when that client's demand finishes (e.g.
-  /// from a LockSpace on_released hook).
-  ClosedLoopGenerator(sim::Simulator& sim, std::vector<SubmitFn> submit,
                       std::vector<std::unique_ptr<ArrivalProcess>> think,
                       std::uint64_t total_requests, std::uint64_t seed);
 
@@ -54,23 +37,16 @@ class ClosedLoopGenerator {
   ClosedLoopGenerator& operator=(const ClosedLoopGenerator&) = delete;
 
   void start();
-  void stop_node(std::size_t node);
-
-  /// Completion signal for the generic binding: client `client` finished
-  /// its outstanding demand; think, then resubmit (budget permitting).
-  void notify_complete(std::size_t client);
 
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
-  [[nodiscard]] std::size_t clients() const { return submit_.size(); }
 
  private:
   void think_then_submit(std::size_t node);
 
   sim::Simulator& sim_;
-  std::vector<SubmitFn> submit_;
+  std::vector<mutex::CsDriver*> drivers_;
   std::vector<std::unique_ptr<ArrivalProcess>> think_;
   std::vector<sim::Rng> rngs_;
-  std::vector<bool> stopped_;
   std::uint64_t total_requests_;
   std::uint64_t submitted_ = 0;
 };

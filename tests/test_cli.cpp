@@ -162,16 +162,13 @@ TEST(Cli, ParsesLockServiceFlags) {
   EXPECT_DOUBLE_EQ(d.service.zipf_s, 0.9);
   EXPECT_EQ(d.service.hot_algorithm, "arbiter-tp");
   EXPECT_EQ(d.service.cold_algorithm, "path-reversal");
-  EXPECT_EQ(d.service.batch_size, 16u);
 
   const auto o = parse({"--resources", "64", "--zipf-s", "1.2",
-                        "--shard-algo", "hot=suzuki-kasami,cold=centralized",
-                        "--batch", "32"});
+                        "--shard-algo", "hot=suzuki-kasami,cold=centralized"});
   EXPECT_EQ(o.service.n_resources, 64u);
   EXPECT_DOUBLE_EQ(o.service.zipf_s, 1.2);
   EXPECT_EQ(o.service.hot_algorithm, "suzuki-kasami");
   EXPECT_EQ(o.service.cold_algorithm, "centralized");
-  EXPECT_EQ(o.service.batch_size, 32u);
   // Partial assignment leaves the other role at its default.
   EXPECT_EQ(parse({"--shard-algo", "cold=centralized"}).service.hot_algorithm,
             "arbiter-tp");
@@ -185,7 +182,6 @@ TEST(Cli, LockServiceFlagRejections) {
   EXPECT_THROW(parse({"--shard-algo", "warm=raymond"}),
                std::invalid_argument);  // unknown role key
   EXPECT_THROW(parse({"--shard-algo", "hot"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--batch", "x"}), std::invalid_argument);
 }
 
 TEST(Cli, RunLockServiceProducesShardTable) {
@@ -331,8 +327,8 @@ TEST(Cli, LockServiceRejectsFlagsItNeverReads) {
 TEST(Cli, SweepRejectsLockServiceFlags) {
   const std::string out = rejected_run(
       {"--n", "4", "--lambda", "1", "--requests", "200", "--seeds", "1",
-       "--zipf-s", "3", "--batch", "2", "--shard-algo", "hot=raymond"});
-  for (const char* flag : {"--zipf-s", "--shard-algo", "--batch"}) {
+       "--zipf-s", "3", "--shard-algo", "hot=raymond"});
+  for (const char* flag : {"--zipf-s", "--shard-algo"}) {
     EXPECT_NE(out.find(std::string("  - ") + flag +
                        " is read only by the lock-service run"),
               std::string::npos)

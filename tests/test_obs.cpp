@@ -189,7 +189,6 @@ TEST(RunManifest, LockServiceBlockSchema) {
   ls.hot_nodes = 4;
   ls.cold_nodes = 2;
   ls.think_mean = 0.5;
-  ls.batch_size = 4;
   ls.seed = 7;
   const harness::LockServiceReport report = harness::run_lock_service(ls);
 

@@ -126,21 +126,5 @@ TEST(ClosedLoop, BoundedPopulation) {
   EXPECT_EQ(gen.submitted(), 500u);
 }
 
-TEST(ClosedLoop, StopNodeHaltsItsLoop) {
-  mutex::MutexCluster mc = closed_loop_cluster(3);
-  std::vector<std::unique_ptr<workload::ArrivalProcess>> think;
-  for (int i = 0; i < 3; ++i) {
-    think.push_back(std::make_unique<workload::DeterministicArrivals>(
-        sim::SimTime::units(1.0)));
-  }
-  workload::ClosedLoopGenerator gen(mc.simulator(), mc.drivers(),
-                                    std::move(think), 1'000'000, 4);
-  gen.stop_node(2);
-  gen.start();
-  mc.simulator().run_until(sim::SimTime::units(20.0));
-  EXPECT_EQ(mc.driver(2).submitted(), 0u);
-  EXPECT_GT(mc.driver(0).submitted(), 5u);
-}
-
 }  // namespace
 }  // namespace dmx
