@@ -15,14 +15,16 @@
 //           | 'reorder-window' 't=' TIME '..' TIME
 //   verb   := 'crash' NODE
 //           | 'restart' NODE
-//           | 'lose-next' TYPE ['from=' NODE] ['to=' NODE]
-//           | 'dup-next' TYPE ['from=' NODE] ['to=' NODE]
+//           | 'lose-next' (TYPE | '*') ['from=' NODE] ['to=' NODE]
+//           | 'dup-next' (TYPE | '*') ['from=' NODE] ['to=' NODE]
 //           | 'loss' (TYPE | '*') '=' P ['until=' TIME]
 //           | 'partition' GROUP ('|' GROUP)*     (GROUP = NODE[,NODE...])
 //           | 'heal'
 //
 // TIME and P are doubles (sim time units / probability in [0,1]); NODE is a
-// 0-based node index; TYPE is a registered message-type name ("PRIVILEGE").
+// 0-based node index; TYPE is a registered message-type name ("PRIVILEGE"),
+// and '*' stands for every type: 'lose-next *' drops the next message of
+// any type.
 // A 'loss' with 'until=' reverts at that time: a per-type window clears the
 // override (back to the global rate), a global ('*') window restores the
 // global rate captured when the window opened.
@@ -58,7 +60,7 @@ struct FaultAction {
   double at = 0.0;  ///< Absolute sim time (units) the action fires.
   Kind kind = Kind::kHeal;
   int node = -1;          ///< crash / restart target.
-  std::string msg_type;   ///< lose-next / dup-next / loss; "*" = global loss.
+  std::string msg_type;   ///< lose-next / dup-next / loss; "*" = any type.
   int src = -1;           ///< lose-next / dup-next 'from=' filter (-1 = any).
   int dst = -1;           ///< lose-next / dup-next 'to=' filter (-1 = any).
   double probability = 0.0;  ///< loss rate.

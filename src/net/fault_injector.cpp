@@ -66,7 +66,9 @@ bool FaultInjector::one_shot_pending(std::uint64_t id) const {
 }
 
 bool FaultInjector::OneShot::matches(const Envelope& env) const {
-  if (env.payload->fault_target().kind() != kind) return false;
+  if (kind.valid() && env.payload->fault_target().kind() != kind) {
+    return false;
+  }
   if (src.valid() && env.src != src) return false;
   if (dst.valid() && env.dst != dst) return false;
   return true;
@@ -76,8 +78,10 @@ std::uint64_t FaultInjector::add_one_shot(std::vector<OneShot>& list,
                                           std::string_view type_name,
                                           NodeId src, NodeId dst) {
   const std::uint64_t id = next_one_shot_id_++;
-  list.push_back(
-      OneShot{id, MsgKindRegistry::instance().intern(type_name), src, dst});
+  const MsgKind kind = type_name == "*"
+                           ? MsgKind{}
+                           : MsgKindRegistry::instance().intern(type_name);
+  list.push_back(OneShot{id, kind, src, dst});
   return id;
 }
 

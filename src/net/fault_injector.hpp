@@ -79,10 +79,10 @@ class FaultInjector {
   [[nodiscard]] double loss_probability(MsgKind kind) const;
   [[nodiscard]] double global_loss_probability() const { return global_loss_; }
 
-  /// One-shot drop: the next message of the given payload type (optionally
-  /// restricted to a src and/or dst) is dropped, and the one-shot retires.
-  /// Interns the name, like set_loss_probability.  Returns an id usable
-  /// with cancel_one_shot.
+  /// One-shot drop: the next message of the given payload type, or of any
+  /// type for "*" (optionally restricted to a src and/or dst), is dropped,
+  /// and the one-shot retires.  Interns the name, like
+  /// set_loss_probability.  Returns an id usable with cancel_one_shot.
   std::uint64_t drop_next_of_type(std::string_view type_name,
                                   NodeId src = NodeId{},
                                   NodeId dst = NodeId{});
@@ -163,7 +163,8 @@ class FaultInjector {
   bool any_per_kind_loss_ = false;
   /// A targeted one-shot: the next message of `kind` (matched on the
   /// logical payload, so transport frames count as what they carry) from
-  /// `src` to `dst`; an invalid src or dst matches any node.
+  /// `src` to `dst`; an invalid kind ("*") matches any message, and an
+  /// invalid src or dst any node.
   struct OneShot {
     std::uint64_t id;
     MsgKind kind;
