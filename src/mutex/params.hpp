@@ -6,7 +6,6 @@
 #pragma once
 
 #include <map>
-#include <stdexcept>
 #include <string>
 
 #include "sim/time.hpp"
@@ -32,14 +31,6 @@ class ParamSet {
                                double fallback) const {
     auto it = nums_.find(key);
     return it == nums_.end() ? fallback : it->second;
-  }
-
-  [[nodiscard]] double require_num(const std::string& key) const {
-    auto it = nums_.find(key);
-    if (it == nums_.end()) {
-      throw std::invalid_argument("missing required parameter: " + key);
-    }
-    return it->second;
   }
 
   [[nodiscard]] sim::SimTime get_time(const std::string& key,

@@ -33,10 +33,4 @@ sim::SimTime BurstyArrivals::next_gap(sim::Rng& rng) {
   }
 }
 
-double BurstyArrivals::mean_rate() const {
-  const double on = mean_on_.to_units();
-  const double off = mean_off_.to_units();
-  return on_rate_ * on / (on + off);
-}
-
 }  // namespace dmx::workload

@@ -20,8 +20,6 @@ class ArrivalProcess {
  public:
   virtual ~ArrivalProcess() = default;
   [[nodiscard]] virtual sim::SimTime next_gap(sim::Rng& rng) = 0;
-  /// Long-run arrival rate in requests per time unit (for reporting).
-  [[nodiscard]] virtual double mean_rate() const = 0;
 };
 
 /// Poisson arrivals: exponential interarrival gaps with the given rate.
@@ -33,7 +31,6 @@ class PoissonArrivals final : public ArrivalProcess {
   sim::SimTime next_gap(sim::Rng& rng) override {
     return sim::SimTime::units(rng.exponential(rate_));
   }
-  [[nodiscard]] double mean_rate() const override { return rate_; }
 
  private:
   double rate_;
@@ -48,9 +45,6 @@ class DeterministicArrivals final : public ArrivalProcess {
     }
   }
   sim::SimTime next_gap(sim::Rng&) override { return interval_; }
-  [[nodiscard]] double mean_rate() const override {
-    return 1.0 / interval_.to_units();
-  }
 
  private:
   sim::SimTime interval_;
@@ -67,9 +61,6 @@ class UniformArrivals final : public ArrivalProcess {
   sim::SimTime next_gap(sim::Rng& rng) override {
     return rng.uniform_time(lo_, hi_);
   }
-  [[nodiscard]] double mean_rate() const override {
-    return 2.0 / (lo_.to_units() + hi_.to_units());
-  }
 
  private:
   sim::SimTime lo_;
@@ -82,7 +73,6 @@ class BurstyArrivals final : public ArrivalProcess {
  public:
   BurstyArrivals(double on_rate, sim::SimTime mean_on, sim::SimTime mean_off);
   sim::SimTime next_gap(sim::Rng& rng) override;
-  [[nodiscard]] double mean_rate() const override;
 
  private:
   double on_rate_;

@@ -9,8 +9,7 @@ OpenLoopGenerator::OpenLoopGenerator(
     std::vector<std::unique_ptr<ArrivalProcess>> processes,
     std::uint64_t total_requests, std::uint64_t seed)
     : sim_(sim), drivers_(std::move(drivers)), processes_(std::move(processes)),
-      per_node_count_(drivers_.size(), 0), stopped_(drivers_.size(), false),
-      total_requests_(total_requests) {
+      per_node_count_(drivers_.size(), 0), total_requests_(total_requests) {
   if (drivers_.size() != processes_.size()) {
     throw std::invalid_argument(
         "OpenLoopGenerator: drivers/processes size mismatch");
@@ -29,18 +28,11 @@ void OpenLoopGenerator::start() {
   for (std::size_t i = 0; i < drivers_.size(); ++i) schedule_next(i);
 }
 
-void OpenLoopGenerator::stop_node(std::size_t node) {
-  if (node >= stopped_.size()) {
-    throw std::out_of_range("OpenLoopGenerator::stop_node: bad node index");
-  }
-  stopped_[node] = true;
-}
-
 void OpenLoopGenerator::schedule_next(std::size_t node) {
-  if (submitted_ >= total_requests_ || stopped_[node]) return;
+  if (submitted_ >= total_requests_) return;
   const sim::SimTime gap = processes_[node]->next_gap(rngs_[node]);
   sim_.schedule_after(gap, [this, node] {
-    if (submitted_ >= total_requests_ || stopped_[node]) return;
+    if (submitted_ >= total_requests_) return;
     ++submitted_;
     const std::uint64_t k = ++per_node_count_[node];
     const int prio = priority_fn_ ? priority_fn_(node, k) : 0;

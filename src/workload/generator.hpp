@@ -37,11 +37,7 @@ class OpenLoopGenerator {
   /// Schedule the first arrival of every node.  Call before Simulator::run.
   void start();
 
-  /// Permanently stop a node's arrivals (e.g. it crashed).
-  void stop_node(std::size_t node);
-
   [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
-  [[nodiscard]] std::uint64_t budget() const { return total_requests_; }
 
  private:
   void schedule_next(std::size_t node);
@@ -51,7 +47,6 @@ class OpenLoopGenerator {
   std::vector<std::unique_ptr<ArrivalProcess>> processes_;
   std::vector<sim::Rng> rngs_;
   std::vector<std::uint64_t> per_node_count_;
-  std::vector<bool> stopped_;
   PriorityFn priority_fn_;
   std::uint64_t total_requests_;
   std::uint64_t submitted_ = 0;

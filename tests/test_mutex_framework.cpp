@@ -206,8 +206,6 @@ TEST(ParamSet, TypedAccessAndDefaults) {
   EXPECT_EQ(p.get_str("other", "y"), "y");
   EXPECT_TRUE(p.has("t_req"));
   EXPECT_FALSE(p.has("nope"));
-  EXPECT_DOUBLE_EQ(p.require_num("t_req"), 0.2);
-  EXPECT_THROW((void)p.require_num("nope"), std::invalid_argument);
   p.set("flag", 1.0);
   EXPECT_TRUE(p.get_bool("flag", false));
   EXPECT_FALSE(p.get_bool("flag2", false));
