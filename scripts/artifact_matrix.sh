@@ -91,6 +91,10 @@ sweep sf_recovery_crash_restart --algo arbiter-tp-sf --n 5 --lambda 0.5 \
 # A wildcard one-shot: `lose-next *` targets the next message of any type.
 sweep wildcard_lose_next --n 3 --lambda 0.5 --requests 200 --seeds 1 \
   --fault "t=1 lose-next *"
+# A plan that crashes a node outside the 3-node cluster: dmx_sweep rejects it
+# (exit 2).
+sweep fault_bad_node --n 3 --lambda 0.5 --requests 200 --seeds 1 \
+  --fault "t=5 crash 7"
 
 # --- dmx_sweep: the sharded lock service ------------------------------------
 # lockservice_smoke.sh's service run; a second service on two other
