@@ -27,7 +27,6 @@ ArbiterParams ArbiterParams::from_params(const mutex::ParamSet& p) {
       p.get_num("resubmit_after_misses", a.resubmit_after_misses));
   a.request_retry_timeout =
       p.get_time("request_retry_timeout", a.request_retry_timeout);
-  a.starvation_free = p.get_bool("starvation_free", a.starvation_free);
   a.monitor = net::NodeId{
       static_cast<std::int32_t>(p.get_num("monitor", a.monitor.value()))};
   a.tau = static_cast<std::uint32_t>(p.get_num("tau", a.tau));

@@ -43,6 +43,7 @@ struct ArbiterParams {
   sim::SimTime request_retry_timeout = sim::SimTime::units(10.0);
 
   // --- starvation-free variant (§4.1) ---------------------------------------
+  /// Set by the registered name (arbiter-tp-sf), not by a param key.
   bool starvation_free = false;
   /// Monitor node identity (known to all nodes).
   net::NodeId monitor{0};

@@ -21,57 +21,18 @@ net::NodeId to_node(int n) {
 CampaignRunner::CampaignRunner(runtime::Cluster& cluster, FaultPlan plan)
     : cluster_(cluster), plan_(std::move(plan)) {}
 
-void CampaignRunner::validate() const {
-  const auto& registry = net::MsgKindRegistry::instance();
-  auto check_node = [&](int n, const FaultAction& a) {
-    if (n >= 0 && static_cast<std::size_t>(n) >= cluster_.size()) {
-      throw std::invalid_argument("fault plan: node " + std::to_string(n) +
-                                  " out of range in '" + a.describe() + "'");
-    }
-  };
-  auto check_type = [&](const std::string& type, const FaultAction& a) {
-    // Every shipped message type registers during static initialization, so
-    // an unknown name is a typo that would otherwise silently never match.
-    if (type != "*" && !registry.find(type).valid()) {
-      throw std::invalid_argument(
-          "fault plan: unregistered message type \"" + type + "\" in '" +
-          a.describe() + "'");
-    }
-  };
+void CampaignRunner::start() {
+  if (started_) throw std::logic_error("CampaignRunner::start: already started");
+  if (const std::vector<std::string> errors = plan_.validate(cluster_.size());
+      !errors.empty()) {
+    throw std::invalid_argument(errors.front());
+  }
   for (const FaultAction& a : plan_.actions) {
-    switch (a.kind) {
-      case FaultAction::Kind::kCrash:
-      case FaultAction::Kind::kRestart:
-        check_node(a.node, a);
-        break;
-      case FaultAction::Kind::kLoseNext:
-      case FaultAction::Kind::kDupNext:
-        check_type(a.msg_type, a);
-        check_node(a.src, a);
-        check_node(a.dst, a);
-        break;
-      case FaultAction::Kind::kSetLoss:
-        check_type(a.msg_type, a);
-        break;
-      case FaultAction::Kind::kPartition:
-        for (const auto& group : a.groups) {
-          for (int n : group) check_node(n, a);
-        }
-        break;
-      case FaultAction::Kind::kReorderWindow:
-      case FaultAction::Kind::kHeal:
-        break;
-    }
     if (a.at < cluster_.simulator().now().to_units()) {
       throw std::invalid_argument("fault plan: action '" + a.describe() +
                                   "' is scheduled in the past");
     }
   }
-}
-
-void CampaignRunner::start() {
-  if (started_) throw std::logic_error("CampaignRunner::start: already started");
-  validate();
   started_ = true;
   events_.reserve(plan_.size());
   for (const FaultAction& a : plan_.actions) {

@@ -35,8 +35,8 @@ class CampaignRunner {
 
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
-  /// Validate the plan against the cluster (node indices in range, message
-  /// types registered) and schedule every action.  Throws
+  /// Check the plan against the cluster (FaultPlan::validate) and that no
+  /// action is scheduled in the past, then schedule every action.  Throws
   /// std::invalid_argument on a bad plan; call before the simulation runs.
   void start();
 
@@ -58,7 +58,6 @@ class CampaignRunner {
   [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
 
  private:
-  void validate() const;
   void execute(const FaultAction& action);
 
   runtime::Cluster& cluster_;

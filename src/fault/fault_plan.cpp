@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "net/msg_kind.hpp"
+
 namespace dmx::fault {
 
 namespace {
@@ -256,6 +258,56 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       plan.actions.begin(), plan.actions.end(),
       [](const FaultAction& a, const FaultAction& b) { return a.at < b.at; });
   return plan;
+}
+
+std::vector<std::string> FaultPlan::validate(std::size_t n_nodes) const {
+  std::vector<std::string> errors;
+  for (const FaultAction& a : actions) {
+    auto problem = [&](const std::string& what) {
+      errors.push_back("fault plan: " + what + " in action '" + a.describe() +
+                       "'");
+    };
+    auto check_node = [&](int n) {
+      if (n < 0 || static_cast<std::size_t>(n) >= n_nodes) {
+        problem("node " + std::to_string(n) + " outside the " +
+                std::to_string(n_nodes) + "-node cluster");
+      }
+    };
+    auto check_type = [&] {
+      // Every shipped message type registers during static initialization,
+      // so an unknown name is a typo that would otherwise never match.
+      if (a.msg_type != "*" &&
+          !net::MsgKindRegistry::instance().find(a.msg_type).valid()) {
+        problem("unregistered message type \"" + a.msg_type + "\"");
+      }
+    };
+    switch (a.kind) {
+      case FaultAction::Kind::kCrash:
+      case FaultAction::Kind::kRestart:
+        check_node(a.node);
+        break;
+      case FaultAction::Kind::kLoseNext:
+      case FaultAction::Kind::kDupNext:
+        check_type();
+        if (a.src >= 0) check_node(a.src);  // -1 = from any node
+        if (a.dst >= 0) check_node(a.dst);
+        break;
+      case FaultAction::Kind::kSetLoss:
+        check_type();
+        break;
+      case FaultAction::Kind::kPartition:
+        if (a.groups.empty()) problem("no partition groups");
+        for (const auto& group : a.groups) {
+          if (group.empty()) problem("empty partition group");
+          for (int n : group) check_node(n);
+        }
+        break;
+      case FaultAction::Kind::kReorderWindow:
+      case FaultAction::Kind::kHeal:
+        break;
+    }
+  }
+  return errors;
 }
 
 std::string FaultPlan::to_string() const {

@@ -86,10 +86,18 @@ struct FaultPlan {
   [[nodiscard]] std::size_t size() const { return actions.size(); }
 
   /// Parse the compact spec grammar above; throws std::invalid_argument
-  /// with a pointed message on any syntax error.  Message-type names are
-  /// NOT validated here (the registry may not be populated yet); the
-  /// CampaignRunner validates them against the MsgKindRegistry at start().
+  /// with a pointed message on any syntax error.  Node indices and
+  /// message-type names are checked by validate(), not here: parsing needs
+  /// neither the cluster size nor the message registry.
   static FaultPlan parse(std::string_view spec);
+
+  /// Every way the plan does not fit a cluster of `n_nodes`, one message
+  /// each: a crash/restart node, a lose-next/dup-next from=/to= node or a
+  /// partition node outside the cluster, an empty partition group, and a
+  /// message type that is neither registered nor '*'.  Empty if the plan
+  /// fits.  The one check behind ExperimentConfig::validate(),
+  /// VerifyConfig and CampaignRunner::start().
+  [[nodiscard]] std::vector<std::string> validate(std::size_t n_nodes) const;
 
   /// Spec string that parses back to this plan.
   [[nodiscard]] std::string to_string() const;

@@ -130,7 +130,10 @@ std::vector<std::string> ExperimentConfig::validate() const {
   }
   if (!fault_plan.empty()) {
     try {
-      (void)fault::FaultPlan::parse(fault_plan);
+      for (std::string& e :
+           fault::FaultPlan::parse(fault_plan).validate(n_nodes)) {
+        errors.push_back(std::move(e));
+      }
     } catch (const std::exception& e) {
       errors.emplace_back(e.what());  // already says "fault plan: "
     }

@@ -128,7 +128,7 @@ void ProgressMonitor::declare_stall(bool event_queue_dry) {
                        std::to_string(cfg_.stall_threshold.to_units()) +
                        " sim units";
   violation_ = std::move(v);
-  if (cfg_.stop_simulator_on_stall) sim_.stop();
+  sim_.stop();
 }
 
 }  // namespace dmx::mutex

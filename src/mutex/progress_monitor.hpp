@@ -41,9 +41,6 @@ class ProgressMonitor {
     sim::SimTime stall_threshold = sim::SimTime::units(30.0);
     /// Polling period; defaults (when zero) to stall_threshold / 4.
     sim::SimTime check_interval = sim::SimTime::zero();
-    /// Stop the simulator when a stall is declared (the harness then reports
-    /// instead of running to its wall-clock backstop).
-    bool stop_simulator_on_stall = true;
   };
 
   ProgressMonitor(sim::Simulator& sim, Config cfg);

@@ -1,84 +1,8 @@
 #include "net/msg_kind.hpp"
 
-#include <stdexcept>
+#include <string>
 
 namespace dmx::net {
-
-MsgKindRegistry& MsgKindRegistry::instance() {
-  static MsgKindRegistry registry;
-  return registry;
-}
-
-MsgKind MsgKindRegistry::intern(std::string_view name) {
-  if (name.empty()) {
-    throw std::invalid_argument("MsgKindRegistry: empty message name");
-  }
-  if (frozen()) {
-    // Sealed: known names resolve without the lock (the table is immutable
-    // and was release-published by freeze()); new names are a registration
-    // that arrived too late — fail fast instead of racing.
-    if (auto it = by_name_.find(name); it != by_name_.end()) {
-      return MsgKind(it->second);
-    }
-    throw std::logic_error(
-        "MsgKindRegistry: frozen; cannot intern new message name \"" +
-        std::string(name) + "\"");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = by_name_.find(name); it != by_name_.end()) {
-    return MsgKind(it->second);
-  }
-  if (names_.size() >= MsgKind::kInvalidRaw) {
-    throw std::length_error("MsgKindRegistry: kind space exhausted");
-  }
-  const auto raw = static_cast<std::uint16_t>(names_.size());
-  names_.emplace_back(name);
-  by_name_.emplace(names_.back(), raw);
-  return MsgKind(raw);
-}
-
-MsgKind MsgKindRegistry::find(std::string_view name) const {
-  if (!frozen()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = by_name_.find(name); it != by_name_.end()) {
-      return MsgKind(it->second);
-    }
-    return MsgKind{};
-  }
-  if (auto it = by_name_.find(name); it != by_name_.end()) {
-    return MsgKind(it->second);
-  }
-  return MsgKind{};
-}
-
-std::string_view MsgKindRegistry::name(MsgKind kind) const {
-  if (!frozen()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!kind.valid() || kind.index() >= names_.size()) return "<invalid>";
-    return names_[kind.index()];
-  }
-  if (!kind.valid() || kind.index() >= names_.size()) return "<invalid>";
-  return names_[kind.index()];
-}
-
-std::size_t MsgKindRegistry::size() const {
-  if (frozen()) return names_.size();
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_.size();
-}
-
-std::vector<std::string> MsgKindRegistry::names() const {
-  if (frozen()) return {names_.begin(), names_.end()};
-  std::lock_guard<std::mutex> lock(mu_);
-  return {names_.begin(), names_.end()};
-}
-
-void MsgKindRegistry::freeze() {
-  // The lock orders this against any in-flight intern; the release store
-  // publishes the completed table to lock-free readers.
-  std::lock_guard<std::mutex> lock(mu_);
-  frozen_.store(true, std::memory_order_release);
-}
 
 stats::CounterMap counts_by_name(const stats::KindCounter& c) {
   stats::CounterMap out;

@@ -7,7 +7,8 @@
 // becomes one table index and per-type statistics become one vector index.
 // Names still exist — they are the stable public vocabulary for traces,
 // tables and loss configuration — but translation happens only at the
-// registry boundary, never per message.
+// registry boundary, never per message.  The registry is one instance of
+// sim::KindRegistry (sim/kind.hpp), which also backs obs::EventKind.
 //
 // Registration is one line inside the payload class body:
 //
@@ -23,104 +24,27 @@
 // is ever constructed.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
-#include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
+#include "sim/kind.hpp"
 #include "stats/counter_map.hpp"
 #include "stats/kind_counter.hpp"
 
 namespace dmx::net {
 
+struct MsgKindTag {
+  static constexpr std::string_view kNoun = "message";
+};
+
 /// Dense identifier of one registered message type.  Default-constructed
 /// kinds are invalid and match nothing.
-class MsgKind {
- public:
-  constexpr MsgKind() = default;
+using MsgKind = sim::Kind<MsgKindTag>;
+static_assert(sizeof(MsgKind) == 2, "a MsgKind is a 16-bit index");
 
-  [[nodiscard]] constexpr bool valid() const { return raw_ != kInvalidRaw; }
-
-  /// Dense index, suitable for vector-indexed tables.  Only meaningful on a
-  /// valid kind.
-  [[nodiscard]] constexpr std::size_t index() const { return raw_; }
-
-  /// Rebuild a kind from a dense index (tooling / counter translation).
-  [[nodiscard]] static constexpr MsgKind from_index(std::size_t i) {
-    return MsgKind(static_cast<std::uint16_t>(i));
-  }
-
-  friend constexpr bool operator==(MsgKind, MsgKind) = default;
-
- private:
-  friend class MsgKindRegistry;
-  constexpr explicit MsgKind(std::uint16_t raw) : raw_(raw) {}
-
-  static constexpr std::uint16_t kInvalidRaw = 0xFFFF;
-  std::uint16_t raw_ = kInvalidRaw;
-};
-
-/// Process-wide name <-> kind table.  Interning is idempotent: the first
-/// registration of a name allocates the next dense index, later ones return
-/// it.  Lookups by kind are O(1); lookups by name are cold-path only.
-///
-/// The registry has a two-phase lifecycle.  During static initialization
-/// (and single-threaded setup) it is mutable under a mutex.  Once every
-/// linked payload type has registered, freeze() seals it: the table becomes
-/// immutable, every lookup (find / name / size / names, and intern of an
-/// already-known name) is lock-free, and intern of an *unknown* name throws
-/// instead of mutating.  Sealing is what makes concurrent simulations safe
-/// to run against the shared registry — after freeze there is no write left
-/// to race with.  freeze() is idempotent and cannot be undone.
-class MsgKindRegistry {
- public:
-  static MsgKindRegistry& instance();
-
-  /// Register `name` (or fetch its existing kind).  Throws on an empty name
-  /// or on exhausting the 16-bit kind space.  On a frozen registry a known
-  /// name still resolves (lock-free); a new name throws std::logic_error.
-  MsgKind intern(std::string_view name);
-
-  /// Look up a name without registering it; invalid kind if unknown.
-  [[nodiscard]] MsgKind find(std::string_view name) const;
-
-  /// Stable name of a kind; "<invalid>" for an invalid/unknown kind.
-  [[nodiscard]] std::string_view name(MsgKind kind) const;
-
-  /// Number of kinds registered so far.
-  [[nodiscard]] std::size_t size() const;
-
-  /// Snapshot of all registered names, in kind-index order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Seal the registry: no new kinds, lock-free lookups from any thread.
-  /// Call after static registration is complete (harness::freeze_registries
-  /// does this before spawning sweep workers).  Idempotent, irreversible.
-  void freeze();
-
-  [[nodiscard]] bool frozen() const {
-    return frozen_.load(std::memory_order_acquire);
-  }
-
-  MsgKindRegistry(const MsgKindRegistry&) = delete;
-  MsgKindRegistry& operator=(const MsgKindRegistry&) = delete;
-
- private:
-  MsgKindRegistry() = default;
-
-  mutable std::mutex mu_;
-  std::deque<std::string> names_;  ///< Deque: element storage never moves.
-  std::map<std::string, std::uint16_t, std::less<>> by_name_;
-  /// Release-published by freeze(); an acquire load observing true
-  /// guarantees visibility of every prior table write, so readers skip mu_.
-  std::atomic<bool> frozen_{false};
-};
+/// Process-wide message-name <-> kind table, sealed by
+/// harness::freeze_registries before sweep workers start.
+using MsgKindRegistry = sim::KindRegistry<MsgKindTag>;
 
 /// THE translation point from dense kind-indexed counters to name-keyed
 /// counts: every table, artifact and result view that spells message names

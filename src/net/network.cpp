@@ -28,13 +28,6 @@ void Network::attach(NodeId node, MessageHandler* handler) {
   handlers_[node.index()] = handler;
 }
 
-void Network::detach(NodeId node) {
-  if (!node.valid() || node.index() >= handlers_.size()) {
-    throw std::out_of_range("Network::detach: node id out of range");
-  }
-  handlers_[node.index()] = nullptr;
-}
-
 void Network::send(NodeId src, NodeId dst, PayloadPtr payload) {
   if (!payload) throw std::invalid_argument("Network::send: null payload");
   if (!dst.valid() || dst.index() >= handlers_.size()) {

@@ -65,7 +65,6 @@ class Network : public Transport {
 
   /// Attach the handler for a node id (must be in range, previously empty).
   void attach(NodeId node, MessageHandler* handler);
-  void detach(NodeId node);
 
   /// Send a payload from src to dst.  Counted even if dropped in flight
   /// (it was "generated"); drops are also counted separately.

@@ -22,106 +22,28 @@
 // category translation happens only at the registry boundary.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "sim/kind.hpp"
 #include "sim/time.hpp"
 
 namespace dmx::obs {
 
+struct EventKindTag {
+  static constexpr std::string_view kNoun = "event";
+};
+
 /// Dense identifier of one registered event type.  Default-constructed
 /// kinds are invalid and match nothing.
-class EventKind {
- public:
-  constexpr EventKind() = default;
+using EventKind = sim::Kind<EventKindTag>;
+static_assert(sizeof(EventKind) == 2, "an EventKind is a 16-bit index");
 
-  [[nodiscard]] constexpr bool valid() const { return raw_ != kInvalidRaw; }
-
-  /// Dense index, suitable for vector-indexed tables.  Only meaningful on a
-  /// valid kind.
-  [[nodiscard]] constexpr std::size_t index() const { return raw_; }
-
-  /// Rebuild a kind from a dense index (tooling / counter translation).
-  [[nodiscard]] static constexpr EventKind from_index(std::size_t i) {
-    return EventKind(static_cast<std::uint16_t>(i));
-  }
-
-  friend constexpr bool operator==(EventKind, EventKind) = default;
-
- private:
-  friend class EventKindRegistry;
-  constexpr explicit EventKind(std::uint16_t raw) : raw_(raw) {}
-
-  static constexpr std::uint16_t kInvalidRaw = 0xFFFF;
-  std::uint16_t raw_ = kInvalidRaw;
-};
-
-/// Process-wide name <-> kind table.  Interning is idempotent: the first
-/// registration of a name allocates the next dense index and pins the
-/// category; later registrations of the same name return the same kind.
-///
-/// Like net::MsgKindRegistry, the registry can be sealed with freeze():
-/// lookups (and intern of an already-known name) become lock-free on the
-/// immutable table, and intern of a new name throws.  Concurrent
-/// simulations share the frozen table without synchronization.
-class EventKindRegistry {
- public:
-  static EventKindRegistry& instance();
-
-  /// Register `name` under `category` (or fetch the existing kind).  Throws
-  /// on an empty name or on exhausting the 16-bit kind space.  On a frozen
-  /// registry a known name still resolves; a new name throws
-  /// std::logic_error.
-  EventKind intern(std::string_view name, std::string_view category);
-
-  /// Look up a name without registering it; invalid kind if unknown.
-  [[nodiscard]] EventKind find(std::string_view name) const;
-
-  /// Stable name of a kind; "<invalid>" for an invalid/unknown kind.
-  [[nodiscard]] std::string_view name(EventKind kind) const;
-
-  /// Category the kind was registered under; "" for an invalid kind.
-  [[nodiscard]] std::string_view category(EventKind kind) const;
-
-  /// Number of kinds registered so far.
-  [[nodiscard]] std::size_t size() const;
-
-  /// Snapshot of all registered names, in kind-index order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Seal the registry: no new kinds, lock-free lookups from any thread.
-  /// Idempotent, irreversible (see harness::freeze_registries).
-  void freeze();
-
-  [[nodiscard]] bool frozen() const {
-    return frozen_.load(std::memory_order_acquire);
-  }
-
-  EventKindRegistry(const EventKindRegistry&) = delete;
-  EventKindRegistry& operator=(const EventKindRegistry&) = delete;
-
- private:
-  EventKindRegistry() = default;
-
-  struct Entry {
-    std::string name;
-    std::string category;
-  };
-
-  mutable std::mutex mu_;
-  std::deque<Entry> entries_;  ///< Deque: element storage never moves.
-  std::map<std::string, std::uint16_t, std::less<>> by_name_;
-  /// Release-published by freeze(); an acquire load observing true
-  /// guarantees visibility of every prior table write, so readers skip mu_.
-  std::atomic<bool> frozen_{false};
-};
+/// Process-wide event-name <-> kind table; each kind carries the category
+/// it was registered under.  One instance of sim::KindRegistry, like
+/// net::MsgKindRegistry, and sealed with it by harness::freeze_registries.
+using EventKindRegistry = sim::KindRegistry<EventKindTag>;
 
 /// One structured trace event: fixed numeric fields, no strings.  The
 /// meaning of `req`, `arg` and `value` is per-kind (documented where the

@@ -28,13 +28,12 @@ enum class EventClass : std::uint8_t {
   kDelivery,      ///< A message delivery at its destination node.
   kTimer,         ///< A process-local timer.
   kCsExit,        ///< A critical-section completion (driver release).
-  kFault,         ///< A fault-plan action (campaign-scheduled).
 };
 
 /// Identity metadata attached to a scheduled event.  `node` is the node the
 /// event acts upon (-1 for kInternal); `detail` is class-specific:
 /// msg_id for deliveries, process-local timer id for timers, per-node CS
-/// sequence for exits, fault-plan action index for faults.
+/// sequence for exits.
 struct EventTag {
   std::int32_t node = -1;
   EventClass klass = EventClass::kInternal;

@@ -1,11 +1,11 @@
 #include "verify/config.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "fault/fault_plan.hpp"
 #include "harness/experiment.hpp"
 #include "mutex/registry.hpp"
-#include "net/msg_kind.hpp"
 #include "verify/mutants.hpp"
 
 namespace dmx::verify {
@@ -37,40 +37,16 @@ std::vector<std::string> problems(const VerifyConfig& cfg,
   }
   if (!cfg.fault_plan.empty()) {
     try {
-      actions = fault::FaultPlan::parse(cfg.fault_plan).actions;
-      for (const fault::FaultAction& act : actions) {
+      fault::FaultPlan plan = fault::FaultPlan::parse(cfg.fault_plan);
+      for (std::string& e : plan.validate(cfg.n_nodes)) {
+        errors.push_back(std::move(e));
+      }
+      for (const fault::FaultAction& act : plan.actions) {
         switch (act.kind) {
           case fault::FaultAction::Kind::kCrash:
           case fault::FaultAction::Kind::kRestart:
-            if (act.node < 0 ||
-                static_cast<std::size_t>(act.node) >= cfg.n_nodes) {
-              errors.push_back("fault plan targets node " +
-                               std::to_string(act.node) +
-                               " outside the cluster");
-            }
-            break;
           case fault::FaultAction::Kind::kLoseNext:
-            if (act.msg_type != "*" &&
-                !net::MsgKindRegistry::instance().find(act.msg_type)
-                     .valid()) {
-              errors.push_back("lose-next names unregistered message type \"" +
-                               act.msg_type + "\"");
-            }
-            break;
           case fault::FaultAction::Kind::kPartition:
-            if (act.groups.empty()) {
-              errors.emplace_back("partition action has no groups");
-            }
-            for (const auto& group : act.groups) {
-              for (const int n : group) {
-                if (n < 0 || static_cast<std::size_t>(n) >= cfg.n_nodes) {
-                  errors.push_back("partition group names node " +
-                                   std::to_string(n) +
-                                   " outside the cluster");
-                }
-              }
-            }
-            break;
           case fault::FaultAction::Kind::kHeal:
             break;
           default:
@@ -81,6 +57,7 @@ std::vector<std::string> problems(const VerifyConfig& cfg,
             break;
         }
       }
+      actions = std::move(plan.actions);
     } catch (const std::exception& e) {
       errors.emplace_back(e.what());  // already says "fault plan: "
     }

@@ -348,13 +348,33 @@ TEST(Cli, LockServiceRejectsNonPositiveTimes) {
   }
 }
 
-TEST(Cli, NonFiniteFaultTimeLeavesEarlierOutputIntact) {
-  // The plan is a string until validate() parses it, so a NaN time gets
-  // past parse_cli; it must still be rejected before --emit-json opens.
-  EXPECT_NE(rejected_run({"--n", "3", "--requests", "100", "--seeds", "1",
-                          "--fault", "t=nan crash 1"})
-                .find("bad time 'nan' in action 't=nan crash 1'"),
-            std::string::npos);
+TEST(Cli, RejectedFaultPlanLeavesEarlierOutputIntact) {
+  // The plan is a string until validate() parses it and checks it against
+  // the cluster, so a NaN time, a node outside the cluster or an unknown
+  // message type gets past parse_cli; each must still be rejected before
+  // --emit-json or --trace-out opens.
+  const std::filesystem::path trace =
+      std::filesystem::temp_directory_path() /
+      ("dmx_cli_unread_" + std::to_string(::getpid()) + ".jsonl");
+  for (const auto& [plan, message] :
+       {std::pair{"t=nan crash 1", "bad time 'nan' in action 't=nan crash 1'"},
+        std::pair{"t=5 crash 7", "fault plan: node 7 outside the 3-node "
+                                 "cluster in action 't=5 crash 7'"},
+        std::pair{"t=1 lose-next PRIVILEDGE",
+                  "fault plan: unregistered message type \"PRIVILEDGE\" in "
+                  "action 't=1 lose-next PRIVILEDGE'"}}) {
+    std::ofstream(trace) << "earlier\n";
+    EXPECT_NE(rejected_run({"--n", "3", "--lambda", "0.5", "--requests", "200",
+                            "--seeds", "1", "--fault", plan, "--trace-out",
+                            trace.string()})
+                  .find(message),
+              std::string::npos)
+        << plan;
+    std::ifstream in(trace);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "earlier\n")
+        << plan;
+  }
+  std::filesystem::remove(trace);
 }
 
 TEST(Cli, RunCsvMode) {

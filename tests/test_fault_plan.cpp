@@ -104,9 +104,34 @@ TEST(FaultPlanParse, RejectsNonFiniteNumbers) {
 }
 
 TEST(FaultPlanParse, UnknownMessageTypeIsNotAParseError) {
-  // The registry may not be populated at parse time; the CampaignRunner
-  // validates type names at start().
+  // The registry may not be populated at parse time; validate() checks type
+  // names against it.
   EXPECT_EQ(FaultPlan::parse("t=5 lose-next NO-SUCH-TYPE").size(), 1u);
+}
+
+TEST(FaultPlanValidate, ReportsEveryActionThatDoesNotFitTheCluster) {
+  EXPECT_TRUE(FaultPlan::parse("t=1 crash 2; t=2 restart 2; t=3 lose-next * "
+                               "from=0 to=2; t=4 dup-next REQUEST; t=5 loss "
+                               "*=0.1; t=6 partition 0|1,2; t=7 heal")
+                  .validate(3)
+                  .empty());
+  EXPECT_EQ(FaultPlan::parse("t=1 crash 3; t=2 lose-next PRIVILEGE from=9; "
+                             "t=3 dup-next NOPE to=4; t=4 loss NOPE=0.5; "
+                             "t=5 partition 0|1,3")
+                .validate(3),
+            (std::vector<std::string>{
+                "fault plan: node 3 outside the 3-node cluster in action "
+                "'t=1 crash 3'",
+                "fault plan: node 9 outside the 3-node cluster in action "
+                "'t=2 lose-next PRIVILEGE from=9'",
+                "fault plan: unregistered message type \"NOPE\" in action "
+                "'t=3 dup-next NOPE to=4'",
+                "fault plan: node 4 outside the 3-node cluster in action "
+                "'t=3 dup-next NOPE to=4'",
+                "fault plan: unregistered message type \"NOPE\" in action "
+                "'t=4 loss NOPE=0.5'",
+                "fault plan: node 3 outside the 3-node cluster in action "
+                "'t=5 partition 0|1,3'"}));
 }
 
 TEST(FaultPlanParse, DisruptiveClassification) {

@@ -1,5 +1,6 @@
 // Message-kind registry: dense-kind assignment, idempotent interning, eager
-// registration of every shipped message type, and agreement between the
+// registration of every shipped message type, separation from the event-kind
+// registry that shares its implementation, and agreement between the
 // kind-indexed KindCounter and the string-keyed CounterMap it replaced on the
 // network send path.
 #include <gtest/gtest.h>
@@ -8,10 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/events.hpp"
 #include "core/messages.hpp"
 #include "harness/experiment.hpp"
 #include "net/msg_kind.hpp"
 #include "net/payload.hpp"
+#include "obs/event.hpp"
 #include "stats/counter_map.hpp"
 #include "stats/kind_counter.hpp"
 
@@ -99,6 +102,18 @@ TEST(MsgKindRegistry, KindsAreDensePerName) {
         << "duplicate name: " << name;
   }
   EXPECT_EQ(names.size(), reg.size());
+}
+
+TEST(MsgKindRegistry, MessageAndEventTablesAreSeparate) {
+  // One registry template serves both vocabularies; each instance keeps its
+  // own names and its own index space.
+  const auto& msgs = net::MsgKindRegistry::instance();
+  const auto& events = obs::EventKindRegistry::instance();
+  ASSERT_TRUE(msgs.find("PRIVILEGE").valid());
+  ASSERT_TRUE(events.find("arbiter.dispatch").valid());
+  EXPECT_FALSE(msgs.find("arbiter.dispatch").valid());
+  EXPECT_FALSE(events.find("PRIVILEGE").valid());
+  EXPECT_NE(static_cast<const void*>(&msgs), static_cast<const void*>(&events));
 }
 
 TEST(KindCounter, MatchesCounterMapTotals) {

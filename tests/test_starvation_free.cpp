@@ -13,7 +13,7 @@ using testbed::MutexCluster;
 
 TEST(StarvationFree, OverforwardedRequestDroppedAtArbiter) {
   mutex::ParamSet p;
-  p.set("starvation_free", 1.0).set("tau", 3.0).set("monitor", 4.0);
+  p.set("tau", 3.0).set("monitor", 4.0);
   MutexCluster tb("arbiter-tp-sf", 5, p);
   // Craft a request that has been forwarded past tau and hand it to the
   // arbiter (node 0) directly.
@@ -34,7 +34,7 @@ TEST(StarvationFree, OverforwardedRequestDroppedAtArbiter) {
 
 TEST(StarvationFree, MonitorExemptRequestNeverDropped) {
   mutex::ParamSet p;
-  p.set("starvation_free", 1.0).set("tau", 1.0).set("monitor", 4.0);
+  p.set("tau", 1.0).set("monitor", 4.0);
   MutexCluster tb("arbiter-tp-sf", 5, p);
   QEntry e;
   e.node = net::NodeId{1};
@@ -51,8 +51,7 @@ TEST(StarvationFree, DroppedRequestDivertsToMonitorAndIsServed) {
   // Node 1's REQUEST is lost; with tau = 1 a single NEW-ARBITER miss makes
   // it resubmit to the monitor, which buffers it until the token visits.
   mutex::ParamSet p;
-  p.set("starvation_free", 1.0)
-      .set("tau", 1.0)
+  p.set("tau", 1.0)
       .set("monitor", 4.0)
       .set("resubmit_after_misses", 0.0)   // isolate the monitor path
       .set("request_retry_timeout", 0.0);  // no timer fallback either
@@ -76,8 +75,7 @@ TEST(StarvationFree, MonitorPatienceReleasesBufferWhenSystemGoesIdle) {
   // the patience safeguard hands it to the arbiter as an undroppable
   // REQUEST.
   mutex::ParamSet p;
-  p.set("starvation_free", 1.0)
-      .set("tau", 1.0)
+  p.set("tau", 1.0)
       .set("monitor", 4.0)
       .set("resubmit_after_misses", 0.0)
       .set("request_retry_timeout", 0.0)

@@ -561,6 +561,10 @@ TEST(VerifyConfig, RejectsOutOfScopeConfigs) {
   cfg.fault_plan = "t=1 partition 0,1|5";  // group names node outside cluster
   EXPECT_THROW(cfg.check(), std::invalid_argument);
 
+  cfg = base_config("arbiter-tp");
+  cfg.fault_plan = "t=0 lose-next PRIVILEGE from=9";  // can never fire
+  EXPECT_THROW(cfg.check(), std::invalid_argument);
+
   // A malformed plan reports the parser's message, which already names the
   // fault plan: no second prefix.
   cfg = base_config("arbiter-tp");
