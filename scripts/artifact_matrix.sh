@@ -95,6 +95,9 @@ sweep wildcard_lose_next --n 3 --lambda 0.5 --requests 200 --seeds 1 \
 # (exit 2).
 sweep fault_bad_node --n 3 --lambda 0.5 --requests 200 --seeds 1 \
   --fault "t=5 crash 7"
+# A --param value that no algorithm accepts (order=bogus).
+sweep param_bad_value --n 3 --lambda 0.5 --requests 200 --seeds 1 \
+  --param order=bogus
 
 # --- dmx_sweep: the sharded lock service ------------------------------------
 # lockservice_smoke.sh's service run; a second service on two other
@@ -114,6 +117,8 @@ run trace_token_loss "$TRACE" --algo arbiter-tp --n 5 --param recovery=1 \
   --drop PRIVILEGE --submit 1:0 --submit 2:0.1
 run trace_holder_crash "$TRACE" --n 5 --param recovery=1 --submit 1:0 \
   --crash 1:0.45
+# A --drop type that names no message type (a misspelt PRIVILEGE).
+run trace_bad_drop "$TRACE" --n 5 --drop PRIVILEDGE --submit 1:0
 
 # --- dmx_verify: exhaustive N=3 worlds --------------------------------------
 run verify_tp "$VERIFY" --algo arbiter-tp --n 3 --requests 1
