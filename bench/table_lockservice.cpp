@@ -89,10 +89,8 @@ int main() {
   using namespace dmx;
   const std::size_t top = ls_resources();
   const std::uint64_t demands = bench::requests_per_point();
-  std::size_t parallel_jobs = 2;
-  if (const char* env = std::getenv("DMX_BENCH_JOBS")) {
-    parallel_jobs = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
+  const auto parallel_jobs =
+      static_cast<std::size_t>(bench::env_count("DMX_BENCH_JOBS", 2, 0));
 
   std::cout << "\n=== Sharded lock service — Zipf(" << ls_zipf()
             << ") demand over a resource ladder ===\n"

@@ -24,19 +24,11 @@ struct CReleaseMsg final : net::Msg<CReleaseMsg> {
 
 }  // namespace
 
-CentralizedMutex::CentralizedMutex(net::NodeId coordinator,
-                                   std::size_t n_nodes)
-    : coordinator_(coordinator) {
-  if (!coordinator.valid() || coordinator.index() >= n_nodes) {
-    throw std::invalid_argument("CentralizedMutex: bad coordinator");
-  }
-}
-
 std::string CentralizedMutex::debug_state() const {
   std::string out = "centralized: ";
-  out += id() == coordinator_ ? "coordinator" : "client";
+  out += id() == kCoordinator ? "coordinator" : "client";
   if (pending_) out += " pending(req " + std::to_string(pending_->request_id) + ")";
-  if (id() == coordinator_) {
+  if (id() == kCoordinator) {
     out += resource_busy_ ? " busy" : " free";
     out += " queue={";
     for (std::size_t i = 0; i < queue_.size(); ++i) {
@@ -53,22 +45,22 @@ void CentralizedMutex::request(const mutex::CsRequest& req) {
     throw std::logic_error("CentralizedMutex::request: already pending");
   }
   pending_ = req;
-  if (id() == coordinator_) {
+  if (id() == kCoordinator) {
     queue_.push_back(Waiting{id(), req.request_id});
     coordinator_grant_next();
     return;
   }
-  send(coordinator_, net::make_payload<CRequestMsg>(req.request_id));
+  send(kCoordinator, net::make_payload<CRequestMsg>(req.request_id));
 }
 
 void CentralizedMutex::release() {
   pending_.reset();
-  if (id() == coordinator_) {
+  if (id() == kCoordinator) {
     resource_busy_ = false;
     coordinator_grant_next();
     return;
   }
-  send(coordinator_, net::make_payload<CReleaseMsg>());
+  send(kCoordinator, net::make_payload<CReleaseMsg>());
 }
 
 void CentralizedMutex::coordinator_grant_next() {

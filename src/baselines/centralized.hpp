@@ -2,8 +2,8 @@
 //
 // The classic 3-messages-per-CS reference point (REQUEST -> GRANT ->
 // RELEASE) that the paper's "approximately 3 messages at high load" is
-// implicitly measured against.  A fixed coordinator queues requests FCFS and
-// grants one at a time; the coordinator's own requests are free.
+// implicitly measured against.  Node 0, the coordinator, queues requests FCFS
+// and grants one at a time; its own requests are free.
 #pragma once
 
 #include <deque>
@@ -16,8 +16,6 @@ namespace dmx::baselines {
 
 class CentralizedMutex final : public mutex::MutexAlgorithm {
  public:
-  CentralizedMutex(net::NodeId coordinator, std::size_t n_nodes);
-
   void request(const mutex::CsRequest& req) override;
   void release() override;
   [[nodiscard]] std::string_view algorithm_name() const override {
@@ -39,7 +37,8 @@ class CentralizedMutex final : public mutex::MutexAlgorithm {
 
   void coordinator_grant_next();
 
-  net::NodeId coordinator_;
+  static constexpr net::NodeId kCoordinator{0};
+
   std::optional<mutex::CsRequest> pending_;
 
   // Coordinator state.

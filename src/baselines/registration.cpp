@@ -15,15 +15,11 @@ namespace dmx::baselines {
 
 void register_all() {
   auto& reg = mutex::Registry::instance();
-  reg.add("centralized", [](const mutex::FactoryContext& ctx) {
-    const auto coord = net::NodeId{
-        static_cast<std::int32_t>(ctx.params.get_num("coordinator", 0))};
-    return std::make_unique<CentralizedMutex>(coord, ctx.n_nodes);
+  reg.add("centralized", [](const mutex::FactoryContext&) {
+    return std::make_unique<CentralizedMutex>();
   });
   reg.add("suzuki-kasami", [](const mutex::FactoryContext& ctx) {
-    const auto holder = net::NodeId{
-        static_cast<std::int32_t>(ctx.params.get_num("initial_holder", 0))};
-    return std::make_unique<SuzukiKasamiMutex>(ctx.n_nodes, holder);
+    return std::make_unique<SuzukiKasamiMutex>(ctx.n_nodes);
   });
   reg.add("ricart-agrawala", [](const mutex::FactoryContext& ctx) {
     return std::make_unique<RicartAgrawalaMutex>(ctx.n_nodes);
@@ -48,8 +44,7 @@ void register_all() {
     return std::make_unique<SinghalDynamicMutex>(ctx.n_nodes);
   });
   reg.add("token-ring", [](const mutex::FactoryContext& ctx) {
-    const auto dwell = ctx.params.get_time("hop_dwell", sim::SimTime::units(0.02));
-    return std::make_unique<TokenRingMutex>(ctx.n_nodes, dwell);
+    return std::make_unique<TokenRingMutex>(ctx.n_nodes);
   });
 }
 

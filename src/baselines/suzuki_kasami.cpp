@@ -25,17 +25,11 @@ struct SkTokenMsg final : net::Msg<SkTokenMsg> {
 
 }  // namespace
 
-SuzukiKasamiMutex::SuzukiKasamiMutex(std::size_t n_nodes,
-                                     net::NodeId initial_holder)
-    : initial_holder_(initial_holder), n_(n_nodes), rn_(n_nodes, 0),
-      ln_(n_nodes, 0) {
-  if (!initial_holder.valid() || initial_holder.index() >= n_nodes) {
-    throw std::invalid_argument("SuzukiKasami: bad initial holder");
-  }
-}
+SuzukiKasamiMutex::SuzukiKasamiMutex(std::size_t n_nodes)
+    : n_(n_nodes), rn_(n_nodes, 0), ln_(n_nodes, 0) {}
 
 void SuzukiKasamiMutex::on_start() {
-  if (id() == initial_holder_) have_token_ = true;
+  if (id().value() == 0) have_token_ = true;  // Node 0 starts with the token.
 }
 
 std::string SuzukiKasamiMutex::debug_state() const {

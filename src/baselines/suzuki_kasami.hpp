@@ -19,7 +19,7 @@ namespace dmx::baselines {
 
 class SuzukiKasamiMutex final : public mutex::MutexAlgorithm {
  public:
-  explicit SuzukiKasamiMutex(std::size_t n_nodes, net::NodeId initial_holder);
+  explicit SuzukiKasamiMutex(std::size_t n_nodes);
 
   void request(const mutex::CsRequest& req) override;
   void release() override;
@@ -43,7 +43,6 @@ class SuzukiKasamiMutex final : public mutex::MutexAlgorithm {
 
   void try_pass_token();
 
-  net::NodeId initial_holder_;
   std::size_t n_;
   std::vector<std::uint64_t> rn_;  ///< Highest request number seen per node.
   std::optional<mutex::CsRequest> pending_;

@@ -19,10 +19,12 @@ struct RingWakeupMsg final : net::Msg<RingWakeupMsg> {
   explicit RingWakeupMsg(std::uint32_t h) : hops(h) {}
 };
 
+/// The dwell time at an uninterested node before passing the token on.
+constexpr sim::SimTime kHopDwell = sim::SimTime::ticks(20'000);  // 0.02 units
+
 }  // namespace
 
-TokenRingMutex::TokenRingMutex(std::size_t n_nodes, sim::SimTime hop_dwell)
-    : n_(n_nodes), hop_dwell_(hop_dwell) {
+TokenRingMutex::TokenRingMutex(std::size_t n_nodes) : n_(n_nodes) {
   if (n_nodes == 0) throw std::invalid_argument("TokenRing: zero nodes");
 }
 
@@ -64,7 +66,7 @@ void TokenRingMutex::request(const mutex::CsRequest& req) {
 
 void TokenRingMutex::arm_wakeup_timer() {
   const sim::SimTime revolution =
-      (hop_dwell_ + sim::SimTime::units(0.2)) * static_cast<std::int64_t>(n_);
+      (kHopDwell + sim::SimTime::units(0.2)) * static_cast<std::int64_t>(n_);
   wakeup_timer_ = set_timer(revolution, [this] { send_wakeup(); });
 }
 
@@ -100,7 +102,7 @@ void TokenRingMutex::token_arrived(std::uint32_t idle_hops) {
     return;
   }
   dwell_timer_ =
-      set_timer(hop_dwell_, [this, idle_hops] { pass_token(idle_hops + 1); });
+      set_timer(kHopDwell, [this, idle_hops] { pass_token(idle_hops + 1); });
 }
 
 const runtime::MsgDispatcher<TokenRingMutex>&

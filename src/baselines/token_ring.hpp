@@ -24,8 +24,7 @@ namespace dmx::baselines {
 
 class TokenRingMutex final : public mutex::MutexAlgorithm {
  public:
-  /// `hop_delay` is the dwell time at an uninterested node before passing on.
-  TokenRingMutex(std::size_t n_nodes, sim::SimTime hop_dwell);
+  explicit TokenRingMutex(std::size_t n_nodes);
 
   void request(const mutex::CsRequest& req) override;
   void release() override;
@@ -58,7 +57,6 @@ class TokenRingMutex final : public mutex::MutexAlgorithm {
   void arm_wakeup_timer();
 
   std::size_t n_;
-  sim::SimTime hop_dwell_;
   std::optional<mutex::CsRequest> pending_;
   bool have_token_ = false;
   bool in_cs_ = false;

@@ -57,14 +57,16 @@ ArbiterMutex::ArbiterMutex(ArbiterParams params, std::size_t n_nodes)
       // N = 100k) and dominates large-N runs with page faults.
       last_granted_(params.sequenced ? n_nodes : 0, 0) {
   if (n_nodes == 0) throw std::invalid_argument("ArbiterMutex: zero nodes");
-  if (!params_.initial_arbiter.valid() ||
-      params_.initial_arbiter.index() >= n_nodes) {
-    throw std::invalid_argument("ArbiterMutex: bad initial arbiter");
-  }
-  if (params_.starvation_free &&
-      (!params_.monitor.valid() || params_.monitor.index() >= n_nodes)) {
-    throw std::invalid_argument("ArbiterMutex: bad monitor node");
-  }
+  const auto check_node = [n_nodes](net::NodeId node, const char* what) {
+    if (!node.valid() || node.index() >= n_nodes) {
+      throw std::invalid_argument(
+          std::string("ArbiterMutex: ") + what + " " +
+          std::to_string(node.value()) + " is not a node of the " +
+          std::to_string(n_nodes) + "-node cluster");
+    }
+  };
+  check_node(params_.initial_arbiter, "initial_arbiter");
+  if (params_.starvation_free) check_node(params_.monitor, "monitor");
 }
 
 std::string_view ArbiterMutex::algorithm_name() const {

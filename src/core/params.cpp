@@ -9,7 +9,7 @@ ArbiterParams ArbiterParams::from_params(const mutex::ParamSet& p) {
   a.t_req = p.get_time("t_req", a.t_req);
   a.t_fwd = p.get_time("t_fwd", a.t_fwd);
   a.initial_arbiter =
-      net::NodeId{static_cast<std::int32_t>(p.get_num("initial_arbiter", 0))};
+      net::NodeId{static_cast<std::int32_t>(p.get_count("initial_arbiter", 0))};
   const std::string order = p.get_str("order", "fcfs");
   if (order == "fcfs") {
     a.order = BatchOrder::kFcfs;
@@ -18,18 +18,19 @@ ArbiterParams ArbiterParams::from_params(const mutex::ParamSet& p) {
   } else if (order == "priority") {
     a.order = BatchOrder::kPriority;
   } else {
-    throw std::invalid_argument("ArbiterParams: unknown order: " + order);
+    throw std::invalid_argument(
+        "param order must be fcfs, sequence or priority, got '" + order + "'");
   }
   a.sequenced = p.get_bool("sequenced", a.sequenced);
   a.suppress_self_broadcast =
       p.get_bool("suppress_self_broadcast", a.suppress_self_broadcast);
-  a.resubmit_after_misses = static_cast<std::uint32_t>(
-      p.get_num("resubmit_after_misses", a.resubmit_after_misses));
+  a.resubmit_after_misses =
+      p.get_count("resubmit_after_misses", a.resubmit_after_misses);
   a.request_retry_timeout =
       p.get_time("request_retry_timeout", a.request_retry_timeout);
-  a.monitor = net::NodeId{
-      static_cast<std::int32_t>(p.get_num("monitor", a.monitor.value()))};
-  a.tau = static_cast<std::uint32_t>(p.get_num("tau", a.tau));
+  a.monitor = net::NodeId{static_cast<std::int32_t>(
+      p.get_count("monitor", static_cast<std::uint32_t>(a.monitor.value())))};
+  a.tau = p.get_count("tau", a.tau);
   a.rotate_monitor = p.get_bool("rotate_monitor", a.rotate_monitor);
   a.monitor_patience = p.get_time("monitor_patience", a.monitor_patience);
   a.recovery = p.get_bool("recovery", a.recovery);

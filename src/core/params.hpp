@@ -80,7 +80,8 @@ struct ArbiterParams {
   bool recovery_quorum = false;
 
   /// Build from a generic ParamSet (registry/bench path); unknown keys are
-  /// ignored, missing keys keep the defaults above.
+  /// ignored, missing keys keep the defaults above, and a value of the
+  /// wrong kind throws std::invalid_argument naming its key.
   static ArbiterParams from_params(const mutex::ParamSet& p);
 };
 

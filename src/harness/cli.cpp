@@ -136,7 +136,6 @@ std::vector<std::string> unread_flags(const CliOptions& opts) {
     check(cfg.fault_plan != d.cfg.fault_plan, "--fault");
     check(cfg.transport != d.cfg.transport, "--transport");
     check(cfg.stall_threshold != d.cfg.stall_threshold, "--stall");
-    check(cfg.max_events != d.cfg.max_events, "--max-events");
   } else {
     why = " is read only by the lock-service run (--resources > 1)";
     check(ls.zipf_s != d.service.zipf_s, "--zipf-s");
@@ -255,9 +254,6 @@ usage: dmx_sweep [flags]
                          and exactly-once in-order delivery under loss
   --stall X              liveness stall threshold in sim units
                          (< 0 off; default: auto when --fault is given)
-  --max-events K         hard backstop on executed events per run
-                         (default 0 = auto from the load); a run that hits
-                         it fails with a per-node diagnosis
   --jobs J               run the seed×point job list on J worker threads
                          (default 1 = serial, 0 = one per hardware thread);
                          table, manifest and trace output is byte-identical
@@ -352,8 +348,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       }
     } else if (a == "--stall") {
       o.cfg.stall_threshold = parse_double(a, need_value(i++, a));
-    } else if (a == "--max-events") {
-      o.cfg.max_events = parse_u64(a, need_value(i++, a));
     } else if (a == "--jobs") {
       o.cfg.jobs = static_cast<std::size_t>(parse_u64(a, need_value(i++, a)));
     } else if (a == "--resources") {

@@ -55,7 +55,9 @@ void check_positive(std::vector<std::string>& errors, const char* what,
 }
 
 std::uint64_t auto_event_bound(const ExperimentConfig& cfg) {
-  // Generous: a healthy run costs O(N) messages per CS (the broadcast
+  // The sim-time wall cannot catch a schedule that spins without advancing
+  // the clock (a zero-delay retry loop, say); a wall on executed events
+  // can.  Generous: a healthy run costs O(N) messages per CS (the broadcast
   // baselines) plus timer/arrival chatter; give 100x headroom over that and
   // a large absolute floor for tiny runs.  Computed in double to saturate
   // instead of overflowing for astronomic request counts.
@@ -95,6 +97,9 @@ std::vector<std::string> ExperimentConfig::validate() const {
     }
     errors.push_back("unknown algorithm \"" + algorithm + "\" (known: " +
                      known + ")");
+  } else if (n_nodes > 0) {
+    std::string e = mutex::build_error(algorithm, n_nodes, params);
+    if (!e.empty()) errors.push_back(std::move(e));
   }
   if (n_nodes == 0) errors.emplace_back("n_nodes must be at least 1");
   check_positive(errors, "lambda", lambda);
@@ -169,19 +174,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   std::optional<net::ReliableTransportConfig> reliable;
   if (cfg.transport == TransportKind::kReliable) {
-    auto tc = net::ReliableTransportConfig::scaled_to(
+    reliable = net::ReliableTransportConfig::scaled_to(
         sim::SimTime::units(cfg.t_msg));
-    tc.ack_delay = sim::SimTime::units(
-        cfg.params.get_num("ack_delay", tc.ack_delay.to_units()));
-    tc.rto_initial = sim::SimTime::units(
-        cfg.params.get_num("rto_initial", tc.rto_initial.to_units()));
-    tc.rto_max = sim::SimTime::units(
-        cfg.params.get_num("rto_max", tc.rto_max.to_units()));
-    tc.backoff_factor = cfg.params.get_num("rto_backoff", tc.backoff_factor);
-    tc.jitter_frac = cfg.params.get_num("rto_jitter", tc.jitter_frac);
-    tc.max_retries = static_cast<int>(
-        cfg.params.get_num("max_retries", tc.max_retries));
-    reliable = tc;
   }
   mutex::MutexCluster mc(cfg.algorithm, cfg.n_nodes, cfg.params,
                          sim::SimTime::units(cfg.t_exec), make_delay(cfg),
@@ -248,8 +242,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (progress) progress->start();
   const double bound =
       cfg.max_sim_units > 0.0 ? cfg.max_sim_units : auto_sim_bound(cfg);
-  sim.set_event_limit(cfg.max_events > 0 ? cfg.max_events
-                                          : auto_event_bound(cfg));
+  sim.set_event_limit(auto_event_bound(cfg));
   sim.run_until(sim::SimTime::units(bound));
   if (progress) progress->stop();
   recovery.end_run(sim.now().to_units());

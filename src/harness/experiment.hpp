@@ -49,11 +49,6 @@ struct ExperimentConfig {
   /// Hard wall on simulated time (liveness backstop; a healthy run drains
   /// its event queue long before this).
   double max_sim_units = 0;  ///< 0 = auto (generous bound from the load).
-  /// Hard wall on executed events.  The sim-time wall cannot catch a
-  /// schedule that spins without advancing the clock (e.g. a zero-delay
-  /// retry loop); this one can.  0 = auto (generous bound from the load);
-  /// hitting it fails the run with a per-node diagnosis.
-  std::uint64_t max_events = 0;
   DelayKind delay_kind = DelayKind::kConstant;
   /// Jitter knob for kUniform ([t_msg, t_msg+jitter)) / kExponential (mean).
   double delay_jitter = 0.0;
@@ -70,9 +65,8 @@ struct ExperimentConfig {
   ///   < 0  monitoring off.
   double stall_threshold = 0.0;
   /// Message transport.  kRaw preserves the pre-transport behavior exactly;
-  /// kReliable interposes a ReliableEndpoint per node, with timing defaults
-  /// scaled to t_msg and overridable via params (ack_delay, rto_initial,
-  /// rto_max, rto_backoff, rto_jitter, max_retries).
+  /// kReliable interposes a ReliableEndpoint per node, with its timing
+  /// scaled to t_msg (net::ReliableTransportConfig::scaled_to).
   TransportKind transport = TransportKind::kRaw;
   /// Structured trace output: every protocol/lifecycle event of the run is
   /// written here (obs/sinks.hpp ships text, JSONL and Chrome-trace sinks).
@@ -150,7 +144,7 @@ struct ExperimentResult {
   bool stalled = false;                 ///< ProgressMonitor declared a stall.
   double stall_time = 0.0;
   std::string stall_diagnosis;          ///< Per-node debug_state() dump.
-  bool hit_event_limit = false;         ///< --max-events backstop fired.
+  bool hit_event_limit = false;         ///< The event backstop fired.
   std::string event_limit_diagnosis;    ///< Per-node dump at the cutoff.
   std::vector<std::string> fault_log;   ///< Executed campaign actions.
 

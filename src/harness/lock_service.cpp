@@ -114,12 +114,18 @@ std::vector<std::string> LockServiceConfig::validate() const {
   if (!(t_msg > 0.0)) errors.push_back("t_msg must be > 0");
   if (!(t_exec > 0.0)) errors.push_back("t_exec must be > 0");
   if (!(think_mean > 0.0)) errors.push_back("think_mean must be > 0");
-  if (!registry.contains(hot_algorithm)) {
-    errors.push_back("hot algorithm not registered: " + hot_algorithm);
-  }
-  if (!registry.contains(cold_algorithm)) {
-    errors.push_back("cold algorithm not registered: " + cold_algorithm);
-  }
+  const auto check_algorithm = [&](const std::string& shards,
+                                   const std::string& algorithm,
+                                   std::size_t nodes) {
+    if (!registry.contains(algorithm)) {
+      errors.push_back(shards + " algorithm not registered: " + algorithm);
+    } else if (nodes > 0) {
+      const std::string e = mutex::build_error(algorithm, nodes, params);
+      if (!e.empty()) errors.push_back(shards + " shards: " + e);
+    }
+  };
+  check_algorithm("hot", hot_algorithm, hot_nodes);
+  check_algorithm("cold", cold_algorithm, cold_nodes);
   return errors;
 }
 

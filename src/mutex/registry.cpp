@@ -46,4 +46,15 @@ std::vector<std::string> Registry::names() const {
   return out;
 }
 
+std::string build_error(const std::string& name, std::size_t n_nodes,
+                        const ParamSet& params) {
+  try {
+    (void)Registry::instance().create(
+        name, FactoryContext{net::NodeId{0}, n_nodes, params});
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
 }  // namespace dmx::mutex

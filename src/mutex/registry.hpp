@@ -48,4 +48,12 @@ class Registry {
   std::map<std::string, AlgorithmFactory> factories_;
 };
 
+/// What building node 0 of an `n_nodes`-node cluster of the registered
+/// algorithm `name` from `params` throws (a bad parameter value, a node id
+/// outside the cluster), or empty when it builds.  Config validation calls
+/// it once per configuration, so a bad value is reported before any run.
+[[nodiscard]] std::string build_error(const std::string& name,
+                                      std::size_t n_nodes,
+                                      const ParamSet& params);
+
 }  // namespace dmx::mutex

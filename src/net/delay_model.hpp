@@ -2,11 +2,8 @@
 //
 // The paper's analysis assumes a constant delay T_msg between any two nodes;
 // its simulation uses the same.  For robustness experiments we also provide
-// uniform and exponential jitter and an arbitrary per-pair latency matrix.
+// uniform and exponential jitter.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "net/node_id.hpp"
 #include "sim/rng.hpp"
@@ -69,17 +66,6 @@ class ExponentialDelay final : public DelayModel {
  private:
   sim::SimTime base_;
   sim::SimTime mean_extra_;
-};
-
-/// Arbitrary per-pair latency matrix (row-major, N x N).
-class MatrixDelay final : public DelayModel {
- public:
-  MatrixDelay(std::size_t n, std::vector<sim::SimTime> matrix);
-  sim::SimTime delay(NodeId src, NodeId dst, std::size_t, sim::Rng&) override;
-
- private:
-  std::size_t n_;
-  std::vector<sim::SimTime> matrix_;
 };
 
 }  // namespace dmx::net

@@ -44,18 +44,6 @@ double FaultInjector::loss_probability(MsgKind kind) const {
   return global_loss_;
 }
 
-bool FaultInjector::cancel_one_shot(std::uint64_t id) {
-  for (auto* list : {&one_shots_, &dup_one_shots_}) {
-    for (auto it = list->begin(); it != list->end(); ++it) {
-      if (it->id == id) {
-        list->erase(it);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 bool FaultInjector::one_shot_pending(std::uint64_t id) const {
   for (const auto* list : {&one_shots_, &dup_one_shots_}) {
     for (const auto& os : *list) {

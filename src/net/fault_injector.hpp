@@ -82,17 +82,16 @@ class FaultInjector {
   /// One-shot drop: the next message of the given payload type, or of any
   /// type for "*" (optionally restricted to a src and/or dst), is dropped,
   /// and the one-shot retires.  Interns the name, like
-  /// set_loss_probability.  Returns an id usable with cancel_one_shot.
+  /// set_loss_probability.  Returns an id usable with one_shot_pending.
   std::uint64_t drop_next_of_type(std::string_view type_name,
                                   NodeId src = NodeId{},
                                   NodeId dst = NodeId{});
-  bool cancel_one_shot(std::uint64_t id);
 
   /// One-shot observability: how many drop one-shots have fired (i.e.
   /// retired by dropping a message), how many one-shots of either flavour
   /// are still waiting, and whether a specific one is still pending (false
-  /// once fired or cancelled).  one_shots_pending / one_shot_pending /
-  /// cancel_one_shot also cover duplicate_next_of_type ids.
+  /// once fired).  one_shots_pending / one_shot_pending also cover
+  /// duplicate_next_of_type ids.
   [[nodiscard]] std::uint64_t one_shots_fired() const { return os_fired_; }
   [[nodiscard]] std::size_t one_shots_pending() const {
     return one_shots_.size() + dup_one_shots_.size();
@@ -103,7 +102,7 @@ class FaultInjector {
   /// src and dst as for drop_next_of_type is delivered twice, and the
   /// one-shot retires.  Unlike drops, duplications stack: N pending
   /// one-shots matching the same message yield N extra copies.  Returns an
-  /// id usable with cancel_one_shot / one_shot_pending.
+  /// id usable with one_shot_pending.
   std::uint64_t duplicate_next_of_type(std::string_view type_name,
                                        NodeId src = NodeId{},
                                        NodeId dst = NodeId{});

@@ -6,9 +6,7 @@
 
 #include <cstdint>
 #include <random>
-#include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -18,9 +16,7 @@ namespace dmx::sim {
 /// distributions the workloads and delay models need.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
-
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
+  explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
   /// Uniform double in [0, 1).
   double uniform01() {
@@ -58,9 +54,6 @@ class Rng {
   /// Bernoulli trial.
   bool chance(double p) { return uniform01() < p; }
 
-  /// Index drawn from the (unnormalized, non-negative) weight vector.
-  std::size_t weighted_index(std::span<const double> weights);
-
   /// Derive an independent child generator (e.g. one per node) such that the
   /// child streams do not overlap the parent stream in practice.
   Rng fork() {
@@ -69,11 +62,8 @@ class Rng {
     return Rng(s);
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
-  std::uint64_t seed_;
 };
 
 }  // namespace dmx::sim

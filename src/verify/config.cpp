@@ -25,6 +25,9 @@ std::vector<std::string> problems(const VerifyConfig& cfg,
   if (cfg.n_nodes == 0 || cfg.n_nodes > 4) {
     errors.push_back("n_nodes must be in [1, 4] for exhaustive exploration, "
                      "got " + std::to_string(cfg.n_nodes));
+  } else if (errors.empty()) {
+    std::string e = mutex::build_error(cfg.algorithm, cfg.n_nodes, cfg.params);
+    if (!e.empty()) errors.push_back(std::move(e));
   }
   if (cfg.requests_per_node == 0) {
     errors.emplace_back("requests_per_node must be at least 1");

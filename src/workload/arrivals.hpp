@@ -3,8 +3,8 @@
 // The paper's simulation drives each node with a Poisson process of rate
 // lambda requests/second ("each of the nodes generated requests using a
 // Poisson probability distribution with the same arrival rate").  We provide
-// that plus deterministic, uniform and bursty (two-state on/off) processes
-// for robustness studies.
+// that plus deterministic and bursty (two-state on/off) processes for
+// robustness studies.
 #pragma once
 
 #include <memory>
@@ -48,23 +48,6 @@ class DeterministicArrivals final : public ArrivalProcess {
 
  private:
   sim::SimTime interval_;
-};
-
-/// Interarrival gaps uniform in [lo, hi).
-class UniformArrivals final : public ArrivalProcess {
- public:
-  UniformArrivals(sim::SimTime lo, sim::SimTime hi) : lo_(lo), hi_(hi) {
-    if (lo <= sim::SimTime::zero() || hi <= lo) {
-      throw std::invalid_argument("UniformArrivals: need 0 < lo < hi");
-    }
-  }
-  sim::SimTime next_gap(sim::Rng& rng) override {
-    return rng.uniform_time(lo_, hi_);
-  }
-
- private:
-  sim::SimTime lo_;
-  sim::SimTime hi_;
 };
 
 /// Two-state Markov-modulated on/off arrivals: Poisson at `on_rate` during

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -254,8 +255,10 @@ TEST(Cli, UnwritableManifestFailsBeforeTheSweep) {
 
 TEST(Cli, InvalidConfigurationLeavesEarlierOutputIntact) {
   // A configuration rejected with exit 2 must not truncate the files its
-  // --emit-json and --trace-out name: on the lambda-sweep path (unknown
-  // algorithm) and on the lock-service path (unknown hot-shard algorithm).
+  // --emit-json and --trace-out name, on the lambda-sweep path and on the
+  // lock-service path (--resources 8): an unknown algorithm, or a --param
+  // value that the algorithm's node 0 cannot be built from.  The report
+  // names what is wrong.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("dmx_cli_keep_" + std::to_string(::getpid()));
@@ -266,19 +269,41 @@ TEST(Cli, InvalidConfigurationLeavesEarlierOutputIntact) {
     std::ifstream in(path);
     return std::string(std::istreambuf_iterator<char>(in), {});
   };
-  for (const std::string algo_flag : {"--algo", "--shard-algo"}) {
-    const std::string algo = algo_flag == "--algo" ? "nope" : "hot=nope";
-    const std::string resources = algo_flag == "--algo" ? "1" : "8";
+  const std::vector<std::string> sweep = {"--n", "3", "--requests", "100",
+                                          "--seeds", "1"};
+  const std::vector<std::string> service = {"--n", "3", "--requests", "100",
+                                            "--resources", "8"};
+  const std::vector<
+      std::tuple<std::vector<std::string>, std::vector<std::string>,
+                 std::string>>
+      cases = {
+          {sweep, {"--algo", "nope"}, "unknown algorithm \"nope\""},
+          {service, {"--shard-algo", "hot=nope"},
+           "hot algorithm not registered: nope"},
+          {sweep, {"--param", "order=bogus"}, "param order must be"},
+          {sweep, {"--param", "order=3"}, "param order must be a name"},
+          {sweep, {"--param", "initial_arbiter=5"}, "initial_arbiter 5"},
+          {sweep, {"--param", "t_req=-1"}, "param t_req must be a time"},
+          {sweep, {"--param", "recovery=banana"},
+           "param recovery must be a number, got 'banana'"},
+          {sweep, {"--algo", "arbiter-tp-sf", "--param", "tau=-1"},
+           "param tau must be a whole number"},
+          {service, {"--param", "initial_arbiter=5"},
+           "hot shards: ArbiterMutex: initial_arbiter 5"},
+      };
+  for (const auto& [base, extra, expect] : cases) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    args.insert(args.end(), {"--emit-json", manifest, "--trace-out", trace});
+    const std::string what = extra.back();
     std::ofstream(manifest) << "earlier manifest\n";
     std::ofstream(trace) << "earlier trace\n";
-    const CliOptions o = parse({algo_flag, algo, "--resources", resources,
-                                "--emit-json", manifest, "--trace-out",
-                                trace});
     std::ostringstream os;
-    EXPECT_EQ(run_cli(o, os), 2) << algo_flag;
+    EXPECT_EQ(run_cli(parse_cli(args), os), 2) << what;
     EXPECT_EQ(os.str().rfind("invalid configuration:\n", 0), 0u) << os.str();
-    EXPECT_EQ(contents(manifest), "earlier manifest\n") << algo_flag;
-    EXPECT_EQ(contents(trace), "earlier trace\n") << algo_flag;
+    EXPECT_NE(os.str().find(expect), std::string::npos) << os.str();
+    EXPECT_EQ(contents(manifest), "earlier manifest\n") << what;
+    EXPECT_EQ(contents(trace), "earlier trace\n") << what;
   }
   std::filesystem::remove_all(dir);
 }
@@ -312,11 +337,10 @@ TEST(Cli, LockServiceRejectsFlagsItNeverReads) {
       {"--resources", "4", "--n", "4", "--lambda", "1,2,3", "--requests",
        "200", "--transport", "reliable", "--fault", "t=1 crash 1", "--loss",
        "PRIVILEGE=0.5", "--seeds", "5", "--delay", "uniform", "--jitter",
-       "0.1", "--stall", "5", "--max-events", "1000"});
+       "0.1", "--stall", "5"});
   for (const char* flag :
        {"--transport", "--fault", "--loss", "--seeds",
-        "--lambda beyond its first rate", "--delay", "--jitter", "--stall",
-        "--max-events"}) {
+        "--lambda beyond its first rate", "--delay", "--jitter", "--stall"}) {
     EXPECT_NE(out.find(std::string("  - ") + flag + " is not read by"),
               std::string::npos)
         << flag << "\n"

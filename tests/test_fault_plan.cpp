@@ -320,20 +320,6 @@ TEST_F(DropCountingTest, PendingCountCoversDuplicateOneShots) {
   EXPECT_EQ(recorders_[1]->received.size(), 2u);  // Original + one copy.
 }
 
-TEST_F(DropCountingTest, CancelledOneShotNeverFires) {
-  make_net(2);
-  auto& f = net_->faults();
-  const auto id = f.drop_next_of_type("CHAOS-PING");
-  EXPECT_TRUE(f.cancel_one_shot(id));
-  EXPECT_FALSE(f.cancel_one_shot(id));  // already gone
-  EXPECT_FALSE(f.one_shot_pending(id));
-  EXPECT_EQ(f.one_shots_pending(), 0u);
-  net_->send(net::NodeId{0}, net::NodeId{1}, net::make_payload<ChaosPing>());
-  sim_.run();
-  EXPECT_EQ(f.one_shots_fired(), 0u);
-  EXPECT_EQ(recorders_[1]->received.size(), 1u);
-}
-
 TEST_F(DropCountingTest, DoomedMessageDoesNotConsumeOneShot) {
   make_net(2);
   auto& f = net_->faults();

@@ -209,6 +209,36 @@ TEST(ParamSet, TypedAccessAndDefaults) {
   p.set("flag", 1.0);
   EXPECT_TRUE(p.get_bool("flag", false));
   EXPECT_FALSE(p.get_bool("flag2", false));
+  p.set("tau", 4.0);
+  EXPECT_EQ(p.get_count("tau", 3), 4u);
+  EXPECT_EQ(p.get_count("missing", 3), 3u);
+
+  // A set value of the wrong kind throws, naming its key.
+  p.set("recovery", std::string("banana"))
+      .set("order", 3.0)
+      .set("t_fwd", -1.0)
+      .set("neg", -1.0)
+      .set("half", 2.5);
+  const auto error = [](const auto& read) {
+    try {
+      (void)read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error([&] { return p.get_bool("recovery", false); }),
+            "param recovery must be a number, got 'banana'");
+  EXPECT_EQ(error([&] { return p.get_num("recovery", 0.0); }),
+            "param recovery must be a number, got 'banana'");
+  EXPECT_EQ(error([&] { return p.get_str("order", "fcfs"); }),
+            "param order must be a name, got 3");
+  EXPECT_EQ(error([&] { return p.get_time("t_fwd", sim::SimTime::zero()); }),
+            "param t_fwd must be a time >= 0, got -1");
+  EXPECT_EQ(error([&] { return p.get_count("neg", 0); }),
+            "param neg must be a whole number >= 0, got -1");
+  EXPECT_EQ(error([&] { return p.get_count("half", 0); }),
+            "param half must be a whole number >= 0, got 2.5");
 }
 
 TEST(ArbiterParams, FromParamSet) {

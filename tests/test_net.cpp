@@ -153,18 +153,6 @@ TEST_F(NetworkTest, OneShotDropFiltersSrcAndDst) {
   EXPECT_EQ(recorders_[1]->received.size(), 1u);
 }
 
-TEST_F(NetworkTest, CancelOneShot) {
-  net_ = std::make_unique<Network>(
-      sim_, 2, std::make_unique<ConstantDelay>(sim::SimTime::units(0.1)), 1);
-  attach_all(2);
-  const auto id = net_->faults().drop_next_of_type("PING");
-  EXPECT_TRUE(net_->faults().cancel_one_shot(id));
-  EXPECT_FALSE(net_->faults().cancel_one_shot(id));
-  net_->send(NodeId{0}, NodeId{1}, make_payload<PingMsg>(1));
-  sim_.run();
-  EXPECT_EQ(recorders_[1]->received.size(), 1u);
-}
-
 TEST_F(NetworkTest, DownNodeReceivesAndSendsNothing) {
   net_ = std::make_unique<Network>(
       sim_, 3, std::make_unique<ConstantDelay>(sim::SimTime::units(0.1)), 1);
@@ -244,21 +232,6 @@ TEST_F(NetworkTest, UniformDelayWithinBounds) {
   }
 }
 
-TEST_F(NetworkTest, MatrixDelayPerPair) {
-  std::vector<sim::SimTime> m(4, sim::SimTime::zero());
-  m[0 * 2 + 1] = sim::SimTime::units(0.3);
-  m[1 * 2 + 0] = sim::SimTime::units(0.7);
-  net_ = std::make_unique<Network>(sim_, 2,
-                                   std::make_unique<MatrixDelay>(2, m), 1);
-  attach_all(2);
-  net_->send(NodeId{0}, NodeId{1}, make_payload<PingMsg>(1));
-  sim_.run();
-  EXPECT_EQ(sim_.now(), sim::SimTime::units(0.3));
-  net_->send(NodeId{1}, NodeId{0}, make_payload<PingMsg>(2));
-  sim_.run();
-  EXPECT_EQ(sim_.now(), sim::SimTime::units(1.0));
-}
-
 TEST_F(NetworkTest, ValidationErrors) {
   net_ = std::make_unique<Network>(
       sim_, 2, std::make_unique<ConstantDelay>(sim::SimTime::units(0.1)), 1);
@@ -270,8 +243,6 @@ TEST_F(NetworkTest, ValidationErrors) {
   EXPECT_THROW(net_->attach(NodeId{9}, recorders_[0].get()),
                std::out_of_range);
   EXPECT_THROW(net_->attach(NodeId{0}, nullptr), std::invalid_argument);
-  EXPECT_THROW(MatrixDelay(2, std::vector<sim::SimTime>(3)),
-               std::invalid_argument);
   EXPECT_THROW(net_->faults().set_loss_probability(1.5),
                std::invalid_argument);
 }

@@ -76,25 +76,6 @@ TEST(Rng, ChanceFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / 100'000.0, 0.3, 0.01);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng r(23);
-  const std::array<double, 3> w = {1.0, 0.0, 3.0};
-  std::array<int, 3> seen{};
-  for (int i = 0; i < 40'000; ++i) ++seen[r.weighted_index(w)];
-  EXPECT_EQ(seen[1], 0);
-  EXPECT_NEAR(static_cast<double>(seen[2]) / static_cast<double>(seen[0]), 3.0,
-              0.3);
-}
-
-TEST(Rng, WeightedIndexValidation) {
-  Rng r(29);
-  EXPECT_THROW(r.weighted_index({}), std::invalid_argument);
-  const std::array<double, 2> neg = {1.0, -1.0};
-  EXPECT_THROW(r.weighted_index(neg), std::invalid_argument);
-  const std::array<double, 2> zero = {0.0, 0.0};
-  EXPECT_THROW(r.weighted_index(zero), std::invalid_argument);
-}
-
 TEST(Rng, ForkProducesIndependentStreams) {
   Rng root(31);
   Rng a = root.fork();

@@ -579,6 +579,26 @@ TEST(VerifyConfig, RejectsOutOfScopeConfigs) {
   cfg = base_config("arbiter-tp");
   cfg.fault_plan = "t=1 partition 0,1|2; t=2 heal";
   EXPECT_NO_THROW(cfg.check());
+
+  // A parameter value that node 0 cannot be built from is a config error,
+  // reported before any World is built.
+  const auto bad_param = [](const std::string& algorithm, const char* key,
+                            const auto& value) {
+    VerifyConfig c = base_config(algorithm);
+    c.params.set(key, value);
+    return c;
+  };
+  for (const VerifyConfig& c :
+       {bad_param("arbiter-tp", "order", std::string("bogus")),
+        bad_param("arbiter-tp", "order", 3.0),
+        bad_param("arbiter-tp", "t_req", -1.0),
+        bad_param("arbiter-tp", "recovery", std::string("banana")),
+        bad_param("arbiter-tp", "initial_arbiter", 5.0),
+        bad_param("arbiter-tp-sf", "tau", -1.0)}) {
+    EXPECT_THROW(c.check(), std::invalid_argument) << c.algorithm;
+  }
+  EXPECT_EQ(bad_param("arbiter-tp", "t_req", -1.0).validate(),
+            std::vector<std::string>{"param t_req must be a time >= 0, got -1"});
 }
 
 }  // namespace

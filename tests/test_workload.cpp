@@ -30,16 +30,6 @@ TEST(Arrivals, DeterministicIsConstant) {
   }
 }
 
-TEST(Arrivals, UniformWithinBounds) {
-  sim::Rng rng(2);
-  UniformArrivals u(sim::SimTime::units(0.1), sim::SimTime::units(0.3));
-  for (int i = 0; i < 1000; ++i) {
-    const double g = u.next_gap(rng).to_units();
-    EXPECT_GE(g, 0.1);
-    EXPECT_LT(g, 0.3);
-  }
-}
-
 TEST(Arrivals, BurstyLongRunRate) {
   sim::Rng rng(3);
   // ON at rate 10 for mean 1 unit, OFF for mean 1 unit -> long-run rate 5.
@@ -53,9 +43,6 @@ TEST(Arrivals, BurstyLongRunRate) {
 TEST(Arrivals, Validation) {
   EXPECT_THROW(PoissonArrivals(0.0), std::invalid_argument);
   EXPECT_THROW(DeterministicArrivals(sim::SimTime::zero()),
-               std::invalid_argument);
-  EXPECT_THROW(UniformArrivals(sim::SimTime::units(0.5),
-                               sim::SimTime::units(0.4)),
                std::invalid_argument);
   EXPECT_THROW(BurstyArrivals(-1.0, sim::SimTime::units(1.0),
                               sim::SimTime::units(1.0)),

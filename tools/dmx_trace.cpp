@@ -21,6 +21,7 @@
 #include "mutex/mutex_cluster.hpp"
 #include "mutex/registry.hpp"
 #include "net/delay_model.hpp"
+#include "net/msg_kind.hpp"
 #include "obs/sinks.hpp"
 #include "obs/span.hpp"
 #include "obs/tracer.hpp"
@@ -45,7 +46,8 @@ usage: dmx_trace [flags]
   --submit NODE:TIME    demand at NODE at TIME (repeatable)
   --crash NODE:TIME     crash NODE at TIME (repeatable)
   --restart NODE:TIME   restart NODE at TIME (repeatable)
-  --drop TYPE           drop the next message of TYPE (repeatable)
+  --drop TYPE           drop the next message of TYPE, or of any type
+                        for * (repeatable)
   --until T             stop the clock at T            [200]
   --trace-out FILE      also write a machine-readable trace (with
                         request-lifecycle spans) to FILE
@@ -58,15 +60,19 @@ Action parse_action(Action::Kind kind, const std::string& flag,
                     const std::string& v) {
   const auto colon = v.find(':');
   if (colon == std::string::npos) usage_error("expected NODE:TIME, got " + v);
-  return Action{kind,
-                static_cast<std::size_t>(
-                    dmx::harness::parse_u64(flag, v.substr(0, colon))),
-                dmx::harness::parse_double(flag, v.substr(colon + 1))};
+  const auto node = static_cast<std::size_t>(
+      dmx::harness::parse_u64(flag, v.substr(0, colon)));
+  const double time = dmx::harness::parse_double(flag, v.substr(colon + 1));
+  if (time < 0.0) usage_error(flag + " time must be >= 0, got " + v);
+  return Action{kind, node, time};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Every std::exception, from a malformed flag value (the shared parsers in
+// harness/cli.hpp and obs/sinks.hpp throw std::invalid_argument) to a
+// cluster that cannot be built or run, is a usage error: never an abort.
+int main(int argc, char** argv) try {
   using namespace dmx;
   std::string algo = "arbiter-tp";
   std::size_t n = 5;
@@ -78,61 +84,68 @@ int main(int argc, char** argv) {
   obs::TraceFormat trace_format = obs::TraceFormat::kJsonl;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
-  // The shared parsers (harness/cli.hpp, obs/sinks.hpp) throw
-  // std::invalid_argument on malformed input: a usage error, never an abort
-  // or a truncated value.
-  try {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      auto value = [&](const char* flag) {
-        if (i + 1 >= args.size()) {
-          usage_error(std::string("missing value for ") + flag);
-        }
-        return args[++i];
-      };
-      const std::string& a = args[i];
-      if (a == "--algo") {
-        algo = value("--algo");
-      } else if (a == "--n") {
-        n = static_cast<std::size_t>(harness::parse_u64(a, value("--n")));
-      } else if (a == "--t-msg") {
-        t_msg = harness::parse_double(a, value("--t-msg"));
-      } else if (a == "--t-exec") {
-        t_exec = harness::parse_double(a, value("--t-exec"));
-      } else if (a == "--unit-times") {
-        t_msg = t_exec = 1.0;
-        params.set("t_req", 1.0).set("t_fwd", 1.0);
-      } else if (a == "--param") {
-        harness::parse_param(a, value("--param"), params);
-      } else if (a == "--submit") {
-        actions.push_back(
-            parse_action(Action::kSubmit, a, value("--submit")));
-      } else if (a == "--crash") {
-        actions.push_back(parse_action(Action::kCrash, a, value("--crash")));
-      } else if (a == "--restart") {
-        actions.push_back(
-            parse_action(Action::kRestart, a, value("--restart")));
-      } else if (a == "--drop") {
-        drops.push_back(value("--drop"));
-      } else if (a == "--until") {
-        until = harness::parse_double(a, value("--until"));
-      } else if (a == "--trace-out") {
-        trace_out = value("--trace-out");
-      } else if (a == "--trace-format") {
-        trace_format = obs::parse_trace_format(a, value("--trace-format"));
-      } else if (a == "--help" || a == "-h") {
-        usage_error("help");
-      } else {
-        usage_error("unknown flag " + a);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    auto value = [&](const char* flag) {
+      if (i + 1 >= args.size()) {
+        usage_error(std::string("missing value for ") + flag);
       }
+      return args[++i];
+    };
+    const std::string& a = args[i];
+    if (a == "--algo") {
+      algo = value("--algo");
+    } else if (a == "--n") {
+      n = static_cast<std::size_t>(harness::parse_u64(a, value("--n")));
+    } else if (a == "--t-msg") {
+      t_msg = harness::parse_double(a, value("--t-msg"));
+    } else if (a == "--t-exec") {
+      t_exec = harness::parse_double(a, value("--t-exec"));
+    } else if (a == "--unit-times") {
+      t_msg = t_exec = 1.0;
+      params.set("t_req", 1.0).set("t_fwd", 1.0);
+    } else if (a == "--param") {
+      harness::parse_param(a, value("--param"), params);
+    } else if (a == "--submit") {
+      actions.push_back(parse_action(Action::kSubmit, a, value("--submit")));
+    } else if (a == "--crash") {
+      actions.push_back(parse_action(Action::kCrash, a, value("--crash")));
+    } else if (a == "--restart") {
+      actions.push_back(
+          parse_action(Action::kRestart, a, value("--restart")));
+    } else if (a == "--drop") {
+      drops.push_back(value("--drop"));
+    } else if (a == "--until") {
+      until = harness::parse_double(a, value("--until"));
+    } else if (a == "--trace-out") {
+      trace_out = value("--trace-out");
+    } else if (a == "--trace-format") {
+      trace_format = obs::parse_trace_format(a, value("--trace-format"));
+    } else if (a == "--help" || a == "-h") {
+      usage_error("help");
+    } else {
+      usage_error("unknown flag " + a);
     }
-  } catch (const std::invalid_argument& e) {
-    usage_error(e.what());
   }
   if (actions.empty()) usage_error("no --submit actions given");
+  if (n == 0) usage_error("--n must be at least 1");
+  if (!(t_msg > 0.0)) usage_error("--t-msg must be positive");
+  if (!(t_exec > 0.0)) usage_error("--t-exec must be positive");
+  if (until < 0.0) usage_error("--until must be >= 0");
+  for (const Action& act : actions) {
+    if (act.node >= n) usage_error("action node out of range");
+  }
 
   harness::register_builtin_algorithms();
   if (!mutex::Registry::instance().contains(algo)) {
     usage_error("unknown algorithm " + algo + " (see dmx_sweep --list)");
+  }
+  if (const std::string e = mutex::build_error(algo, n, params); !e.empty()) {
+    usage_error(e);
+  }
+  for (const std::string& type : drops) {
+    if (type != "*" && !net::MsgKindRegistry::instance().find(type).valid()) {
+      usage_error("--drop names no registered message type: " + type);
+    }
   }
 
   // The console view: an unbuffered text sink, so the event log interleaves
@@ -165,7 +178,6 @@ int main(int argc, char** argv) {
   }
 
   for (const Action& act : actions) {
-    if (act.node >= n) usage_error("action node out of range");
     mc.simulator().schedule_at(sim::SimTime::units(act.time), [&, act] {
       const net::NodeId nid{static_cast<std::int32_t>(act.node)};
       switch (act.kind) {
@@ -188,4 +200,6 @@ int main(int argc, char** argv) {
             << mc.network().stats().sent << " messages, " << violations
             << " safety violations\n";
   return violations == 0 ? 0 : 1;
+} catch (const std::exception& e) {
+  usage_error(e.what());
 }
